@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.obs.spans import ConsensusSpan, SpanBuilder
 from repro.sim.trace import KINDS, TraceRecord, describe_value
@@ -58,8 +58,7 @@ TRIGGER_KINDS = frozenset(
 MAX_HOPS = 128
 
 
-@dataclass(frozen=True)
-class _Send:
+class _Send(NamedTuple):
     """One ``msg-send`` record."""
 
     id: int
@@ -70,8 +69,7 @@ class _Send:
     channel: str
 
 
-@dataclass(frozen=True)
-class _Deliver:
+class _Deliver(NamedTuple):
     """One ``msg-deliver`` record."""
 
     id: int
@@ -382,6 +380,20 @@ def annotate_spans(builder: SpanBuilder, graph: CausalGraph) -> SpanBuilder:
     return builder
 
 
+def _ingest(
+    events: Iterable[tuple[float, int, str, Any]],
+) -> tuple[SpanBuilder, CausalGraph]:
+    """Fold one pass over ``(time, pid, kind, data)`` events into both the
+    span builder and the causal graph."""
+    builder = SpanBuilder()
+    graph = CausalGraph()
+    add_span, add_edge = builder.add, graph.add
+    for time, pid, kind, data in events:
+        add_span(time, pid, kind, data)
+        add_edge(time, pid, kind, data)
+    return builder, graph
+
+
 def causal_summary(rows: Iterable[list[Any]]) -> dict[str, Any]:
     """Aggregate critical-path statistics of one exported trace.
 
@@ -389,9 +401,11 @@ def causal_summary(rows: Iterable[list[Any]]) -> dict[str, Any]:
     the decision latency was wire time, and a histogram of fallback-cause
     kinds (``op:<kind>`` when a nemesis op was attributed).
     """
-    rows = list(rows)
-    builder = SpanBuilder().add_rows(rows)
-    graph = CausalGraph.from_rows(rows)
+    return _path_summary(*_ingest(rows))
+
+
+def _path_summary(builder: SpanBuilder, graph: CausalGraph) -> dict[str, Any]:
+    """:func:`causal_summary` over an already-ingested trace."""
     paths = critical_paths(builder, graph)
     latencies = [p.latency for p in paths if p.latency is not None]
     causes: dict[str, int] = {}

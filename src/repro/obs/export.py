@@ -22,11 +22,11 @@ track.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, TextIO
+from itertools import islice
+from typing import Any, Iterable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs.causal import CausalGraph, critical_paths
-from repro.obs.spans import SpanBuilder
+from repro.obs.causal import _ingest, critical_paths
 from repro.sim.trace import TraceRecord, describe_value
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 TRACE_SCHEMA = "repro.trace.v1"
 
 _MICROS = 1e6  # trace-event timestamps are microseconds
+
+#: Events per C-encoder call in :func:`export_chrome` (~0.5 MB of output).
+_CHUNK = 4096
 
 
 def record_rows(records: Iterable[TraceRecord]) -> list[list[Any]]:
@@ -88,81 +91,92 @@ def export_chrome(
     becomes a thread (track).  Every trace record is an instant (``i``)
     event on its pid's track; reconstructed consensus spans become duration
     (``X``) events from propose to decide.
+
+    ``spec`` is accepted only so the two writers share a signature and is
+    **not written**: the trace-event format has no header to carry it.  Use
+    :func:`export_jsonl` when the file must name the spec that produced it.
+
+    The bytes are those of ``json.dumps(document, sort_keys=True,
+    separators=(",", ":"))`` plus a newline.  The document frame is written
+    by hand and the events are encoded :data:`_CHUNK` at a time, so every
+    event goes through the C encoder while neither the full event list nor
+    the full output string is ever held in memory.  Spans and the causal
+    graph are built by one shared pass over the records.
     """
     records = list(records)
-    events: list[dict[str, Any]] = []
-    pids = sorted({r.pid for r in records})
-    for pid in pids:
-        name = f"p{pid}" if pid >= 0 else "system"
-        events.append(
-            {
-                "args": {"name": name},
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": pid,
-            }
-        )
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    events = _chrome_events(records)
+    out.write('{"displayTimeUnit":"ms","traceEvents":[')
+    separator = ""
+    while chunk := list(islice(events, _CHUNK)):
+        out.write(separator)
+        out.write(encode(chunk)[1:-1])  # strip the chunk's own brackets
+        separator = ","
+    out.write("]}\n")
+    return len(records)
+
+
+def _chrome_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
+    """The trace events of :func:`export_chrome`, in output order."""
+    for pid in sorted({r.pid for r in records}):
+        yield {
+            "args": {"name": f"p{pid}" if pid >= 0 else "system"},
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 0,
+            "tid": pid,
+        }
     for r in records:
-        events.append(
-            {
-                "args": {"data": describe_value(r.data)},
-                "name": r.kind,
-                "ph": "i",
-                "pid": 0,
-                "s": "t",
-                "tid": r.pid,
-                "ts": r.time * _MICROS,
-            }
-        )
-    builder = SpanBuilder().add_records(records)
+        yield {
+            "args": {"data": describe_value(r.data)},
+            "name": r.kind,
+            "ph": "i",
+            "pid": 0,
+            "s": "t",
+            "tid": r.pid,
+            "ts": r.time * _MICROS,
+        }
+    builder, graph = _ingest((r.time, r.pid, r.kind, r.data) for r in records)
     for span in builder.consensus_spans():
         if span.propose_at is None or span.decided_at is None:
             continue
         label = "consensus" if span.instance is None else f"consensus[{span.instance}]"
-        events.append(
-            {
-                "args": {
-                    "steps": span.steps,
-                    "via": span.via,
-                    "value": describe_value(span.decided_value),
-                },
-                "dur": (span.decided_at - span.propose_at) * _MICROS,
-                "name": label,
-                "ph": "X",
-                "pid": 0,
-                "tid": span.pid,
-                "ts": span.propose_at * _MICROS,
-            }
-        )
+        yield {
+            "args": {
+                "steps": span.steps,
+                "via": span.via,
+                "value": describe_value(span.decided_value),
+            },
+            "dur": (span.decided_at - span.propose_at) * _MICROS,
+            "name": label,
+            "ph": "X",
+            "pid": 0,
+            "tid": span.pid,
+            "ts": span.propose_at * _MICROS,
+        }
     # Causal layer: send → deliver flow arrows plus per-decision critical
     # paths.  Traces without message ids (obs off, pre-causal exports) have
     # no matched pairs and no hops, so they emit nothing extra here.
-    graph = CausalGraph.from_records(records)
     for send, deliver in graph.flows():
-        events.append(
-            {
-                "cat": "msg",
-                "id": send.id,
-                "name": send.kind,
-                "ph": "s",
-                "pid": 0,
-                "tid": send.src,
-                "ts": send.time * _MICROS,
-            }
-        )
-        events.append(
-            {
-                "bp": "e",
-                "cat": "msg",
-                "id": send.id,
-                "name": send.kind,
-                "ph": "f",
-                "pid": 0,
-                "tid": deliver.dst,
-                "ts": deliver.time * _MICROS,
-            }
-        )
+        yield {
+            "cat": "msg",
+            "id": send.id,
+            "name": send.kind,
+            "ph": "s",
+            "pid": 0,
+            "tid": send.src,
+            "ts": send.time * _MICROS,
+        }
+        yield {
+            "bp": "e",
+            "cat": "msg",
+            "id": send.id,
+            "name": send.kind,
+            "ph": "f",
+            "pid": 0,
+            "tid": deliver.dst,
+            "ts": deliver.time * _MICROS,
+        }
     for path in critical_paths(builder, graph):
         if path.propose_at is None or not path.hops:
             continue
@@ -179,35 +193,27 @@ def export_chrome(
         }
         if path.cause is not None:
             args["cause"] = path.cause
-        events.append(
-            {
-                "args": args,
-                "cname": "terrible" if path.cause is not None else "good",
-                "dur": (path.decided_at - path.propose_at) * _MICROS,
-                "name": label,
+        yield {
+            "args": args,
+            "cname": "terrible" if path.cause is not None else "good",
+            "dur": (path.decided_at - path.propose_at) * _MICROS,
+            "name": label,
+            "ph": "X",
+            "pid": 0,
+            "tid": path.pid,
+            "ts": path.propose_at * _MICROS,
+        }
+        for hop in path.hops:
+            yield {
+                "args": {"msg_id": hop.msg_id, "src": hop.src},
+                "cat": "critical-path",
+                "dur": hop.flight_time * _MICROS,
+                "name": f"cp:{hop.kind}",
                 "ph": "X",
                 "pid": 0,
-                "tid": path.pid,
-                "ts": path.propose_at * _MICROS,
+                "tid": hop.dst,
+                "ts": hop.sent_at * _MICROS,
             }
-        )
-        for hop in path.hops:
-            events.append(
-                {
-                    "args": {"msg_id": hop.msg_id, "src": hop.src},
-                    "cat": "critical-path",
-                    "dur": hop.flight_time * _MICROS,
-                    "name": f"cp:{hop.kind}",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": hop.dst,
-                    "ts": hop.sent_at * _MICROS,
-                }
-            )
-    document = {"displayTimeUnit": "ms", "traceEvents": events}
-    json.dump(document, out, sort_keys=True, separators=(",", ":"))
-    out.write("\n")
-    return len(records)
 
 
 def diff_traces(

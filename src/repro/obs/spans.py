@@ -250,56 +250,82 @@ class SpanBuilder:
         return span
 
     def add(self, time: float, pid: int, kind: str, data: Any) -> None:
-        if kind == KINDS.PROPOSE:
-            span = self._consensus_span(pid, data.get("instance"))
-            span.propose_at = time
-            span.proposed_value = data.get("value")
-        elif kind == KINDS.ROUND_START:
-            span = self._consensus_span(pid, data.get("instance"))
-            span.rounds.append((data["round"], data.get("phase"), time))
-        elif kind == KINDS.ROUND_END:
-            span = self._consensus_span(pid, data.get("instance"))
-            span.decided_at = time
-            span.decided_value = data.get("value")
-            span.steps = data.get("steps")
-            span.via = data.get("via")
-            span.outcome = data.get("outcome")
-        elif kind == KINDS.A_BROADCAST:
-            msg_id = _canonical_id(data)
-            span = self.broadcasts.get(msg_id)
-            if span is None:
-                self.broadcasts[msg_id] = span = BroadcastSpan(msg_id=msg_id)
-            span.sent_at = time
-            span.origin = pid
-        elif kind == KINDS.A_DELIVER:
-            msg_id = _canonical_id(data)
-            span = self.broadcasts.get(msg_id)
-            if span is None:
-                self.broadcasts[msg_id] = span = BroadcastSpan(msg_id=msg_id)
-            span.deliveries.setdefault(pid, time)
-        elif kind == KINDS.TXN_BEGIN:
-            span = self._txn_span(data["txid"])
-            span.begin_at = time
-            span.coordinator_pid = pid
-            span.shards = list(data.get("shards", ()))
-        elif kind == KINDS.TXN_VOTE:
-            span = self._txn_span(data["txid"])
-            span.votes[data["shard"]] = data["vote"]
-            span.vote_at[data["shard"]] = time
-        elif kind == KINDS.TXN_DECIDE:
-            span = self._txn_span(data["txid"])
-            span.decision = data["decision"]
-            span.decided_at = time
-        elif kind == KINDS.TXN_END:
-            span = self._txn_span(data["txid"])
-            span.decision = data["decision"]
-            span.end_at = time
+        # One lookup skips the kinds no span is built from — the
+        # msg-send/msg-deliver bulk of an observed trace.
+        handler = self._HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, time, pid, data)
+
+    def _on_propose(self, time: float, pid: int, data: Any) -> None:
+        span = self._consensus_span(pid, data.get("instance"))
+        span.propose_at = time
+        span.proposed_value = data.get("value")
+
+    def _on_round_start(self, time: float, pid: int, data: Any) -> None:
+        span = self._consensus_span(pid, data.get("instance"))
+        span.rounds.append((data["round"], data.get("phase"), time))
+
+    def _on_round_end(self, time: float, pid: int, data: Any) -> None:
+        span = self._consensus_span(pid, data.get("instance"))
+        span.decided_at = time
+        span.decided_value = data.get("value")
+        span.steps = data.get("steps")
+        span.via = data.get("via")
+        span.outcome = data.get("outcome")
+
+    def _broadcast_span(self, data: Any) -> BroadcastSpan:
+        msg_id = _canonical_id(data)
+        span = self.broadcasts.get(msg_id)
+        if span is None:
+            self.broadcasts[msg_id] = span = BroadcastSpan(msg_id=msg_id)
+        return span
+
+    def _on_broadcast(self, time: float, pid: int, data: Any) -> None:
+        span = self._broadcast_span(data)
+        span.sent_at = time
+        span.origin = pid
+
+    def _on_deliver(self, time: float, pid: int, data: Any) -> None:
+        self._broadcast_span(data).deliveries.setdefault(pid, time)
 
     def _txn_span(self, txid: Any) -> TxnSpan:
         span = self.txns.get(txid)
         if span is None:
             self.txns[txid] = span = TxnSpan(txid=txid)
         return span
+
+    def _on_txn_begin(self, time: float, pid: int, data: Any) -> None:
+        span = self._txn_span(data["txid"])
+        span.begin_at = time
+        span.coordinator_pid = pid
+        span.shards = list(data.get("shards", ()))
+
+    def _on_txn_vote(self, time: float, pid: int, data: Any) -> None:
+        span = self._txn_span(data["txid"])
+        span.votes[data["shard"]] = data["vote"]
+        span.vote_at[data["shard"]] = time
+
+    def _on_txn_decide(self, time: float, pid: int, data: Any) -> None:
+        span = self._txn_span(data["txid"])
+        span.decision = data["decision"]
+        span.decided_at = time
+
+    def _on_txn_end(self, time: float, pid: int, data: Any) -> None:
+        span = self._txn_span(data["txid"])
+        span.decision = data["decision"]
+        span.end_at = time
+
+    _HANDLERS = {
+        KINDS.PROPOSE: _on_propose,
+        KINDS.ROUND_START: _on_round_start,
+        KINDS.ROUND_END: _on_round_end,
+        KINDS.A_BROADCAST: _on_broadcast,
+        KINDS.A_DELIVER: _on_deliver,
+        KINDS.TXN_BEGIN: _on_txn_begin,
+        KINDS.TXN_VOTE: _on_txn_vote,
+        KINDS.TXN_DECIDE: _on_txn_decide,
+        KINDS.TXN_END: _on_txn_end,
+    }
 
     # --------------------------------------------------------------- queries
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
@@ -52,11 +51,13 @@ def build_entry(
     empty).  The trace is folded through its exported-row form so entries
     match what offline analysis of the JSONL export would compute.
     """
-    from repro.obs.causal import causal_summary
-    from repro.obs.export import record_rows
-    from repro.obs.spans import SpanBuilder
+    from repro.obs.causal import _ingest, _path_summary
+    from repro.sim.trace import describe_value
 
-    rows = record_rows(records)
+    # One pass: each record's row form feeds the span and causal sections.
+    builder, graph = _ingest(
+        (r.time, r.pid, r.kind, describe_value(r.data)) for r in records
+    )
     entry: dict[str, Any] = {
         "schema": WAREHOUSE_SCHEMA,
         "key": report.key,
@@ -66,8 +67,8 @@ def build_entry(
         "offered": report.offered,
         "delivered": report.delivered,
         "latency": report.latency_summary_dict(),
-        "spans": SpanBuilder().add_rows(rows).summary(),
-        "critical_path": causal_summary(rows),
+        "spans": builder.summary(),
+        "critical_path": _path_summary(builder, graph),
         "network": {
             name: report.network[name]
             for name in ("sent", "delivered", "dropped", "bytes_sent")
@@ -115,7 +116,13 @@ class Warehouse:
         line = json.dumps(
             entry, sort_keys=True, separators=(",", ":"), allow_nan=False
         )
-        index = len(self.load()) if os.path.exists(self.path) else 0
+        # The index is the number of entries already stored.  Counting lines
+        # keeps a recording session linear; validation is load()'s job.
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                index = sum(1 for stored in fh if stored.strip())
+        except FileNotFoundError:
+            index = 0
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line)
             fh.write("\n")

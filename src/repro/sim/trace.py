@@ -100,6 +100,10 @@ class KINDS:
     )
 
 
+#: Exact types :func:`describe_value` returns unchanged.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def describe_value(value: Any) -> Any:
     """Deterministic, JSON-friendly description of a traced value.
 
@@ -109,7 +113,17 @@ def describe_value(value: Any) -> Any:
     reproducible.  This helper sorts set-like values and renders message
     objects by their stable identity instead.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    # Exact-type fast path for the dominant payload — the flat str -> scalar
+    # dicts of msg-send/msg-deliver — which needs no per-item recursion.
+    # Anything else (subclasses, nesting, non-str keys) takes the general
+    # path below, which gives the same result for these shapes too.
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str or type(item) not in _SCALARS:
+                break
+        else:
+            return {key: value[key] for key in sorted(value)}
+    elif value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (tuple, list)):
         return [describe_value(v) for v in value]

@@ -8,6 +8,7 @@ names the trace record — and, when a nemesis schedule is attached, the
 seed, same trace bytes, with or without the analysis, batched or not.
 """
 
+import hashlib
 import io
 import json
 
@@ -31,6 +32,7 @@ from repro.obs import (
     export_chrome,
     export_jsonl,
 )
+from repro.sim.trace import Tracer, describe_value
 
 
 def observed_abcast(seed=1, nemesis=None, batch=True):
@@ -312,6 +314,172 @@ def rows_to_chrome_string(rows, spec):
     out = io.StringIO()
     export_chrome(records, out, spec=spec.to_dict())
     return out.getvalue()
+
+
+def reference_chrome(records):
+    """The Chrome export as one ``json.dumps`` of one in-memory document.
+
+    An independent encoding kept here as the reference: the event list is
+    built whole, from separately ingested spans and graph, and serialised in
+    one call — everything the streamed exporter avoids doing.
+    """
+    records = list(records)
+    events = []
+    for pid in sorted({r.pid for r in records}):
+        events.append(
+            {
+                "ph": "M",
+                "pid": 0,
+                "tid": pid,
+                "name": "thread_name",
+                "args": {"name": f"p{pid}" if pid >= 0 else "system"},
+            }
+        )
+    for r in records:
+        events.append(
+            {
+                "ph": "i",
+                "s": "t",
+                "pid": 0,
+                "tid": r.pid,
+                "ts": r.time * 1e6,
+                "name": r.kind,
+                "args": {"data": describe_value(r.data)},
+            }
+        )
+    builder = SpanBuilder().add_records(records)
+    for span in builder.consensus_spans():
+        if span.propose_at is None or span.decided_at is None:
+            continue
+        events.append(
+            {
+                "ph": "X",
+                "pid": 0,
+                "tid": span.pid,
+                "ts": span.propose_at * 1e6,
+                "dur": (span.decided_at - span.propose_at) * 1e6,
+                "name": (
+                    "consensus"
+                    if span.instance is None
+                    else f"consensus[{span.instance}]"
+                ),
+                "args": {
+                    "steps": span.steps,
+                    "via": span.via,
+                    "value": describe_value(span.decided_value),
+                },
+            }
+        )
+    graph = CausalGraph.from_records(records)
+    for send, deliver in graph.flows():
+        flow = {"cat": "msg", "id": send.id, "name": send.kind, "pid": 0}
+        events.append({**flow, "ph": "s", "tid": send.src, "ts": send.time * 1e6})
+        events.append(
+            {**flow, "ph": "f", "bp": "e", "tid": deliver.dst, "ts": deliver.time * 1e6}
+        )
+    for path in critical_paths(builder, graph):
+        if path.propose_at is None or not path.hops:
+            continue
+        args = {
+            "hops": len(path.hops),
+            "network_time_us": path.network_time * 1e6,
+            "steps": path.steps,
+            "via": path.via,
+        }
+        if path.cause is not None:
+            args["cause"] = path.cause
+        events.append(
+            {
+                "ph": "X",
+                "pid": 0,
+                "tid": path.pid,
+                "ts": path.propose_at * 1e6,
+                "dur": (path.decided_at - path.propose_at) * 1e6,
+                "name": (
+                    "critical-path"
+                    if path.instance is None
+                    else f"critical-path[{path.instance}]"
+                ),
+                "cname": "terrible" if path.cause is not None else "good",
+                "args": args,
+            }
+        )
+        for hop in path.hops:
+            events.append(
+                {
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": hop.dst,
+                    "ts": hop.sent_at * 1e6,
+                    "dur": hop.flight_time * 1e6,
+                    "name": f"cp:{hop.kind}",
+                    "cat": "critical-path",
+                    "args": {"msg_id": hop.msg_id, "src": hop.src},
+                }
+            )
+    document = {"traceEvents": events, "displayTimeUnit": "ms"}
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def streamed_chrome(records):
+    out = io.StringIO()
+    assert export_chrome(records, out) == len(records)
+    return out.getvalue()
+
+
+class TestChromeGoldenBytes:
+    """The streamed, chunk-encoded export is byte-for-byte the one-shot
+    ``json.dumps`` of the same document."""
+
+    def test_observed_abcast_matches_reference_encoder(self):
+        _, obs = observed_abcast(seed=3)
+        text = streamed_chrome(obs.tracer.records)
+        assert text == reference_chrome(obs.tracer.records)
+        assert '"ph":"s"' in text and '"name":"critical-path[' in text
+
+    def test_leader_partition_paths_with_cause_match_reference_encoder(self):
+        # ~58k records -> ~117k events: many encoder chunks, and critical
+        # paths whose args carry a nested ``cause``.
+        _, obs = leader_partition_run()
+        text = streamed_chrome(obs.tracer.records)
+        assert text == reference_chrome(obs.tracer.records)
+        assert '"cause":{' in text and '"cname":"terrible"' in text
+
+    def test_obs_off_trace_matches_reference_encoder(self):
+        # No detail kinds: no message ids, so no flows and no paths.
+        spec = AbcastRunSpec(
+            protocol="cabcast-l", rate=100.0, duration=0.3, seed=1, drain=2.0
+        )
+        tracer = Tracer()
+        run_abcast_spec(spec, tracer=tracer)
+        text = streamed_chrome(tracer.records)
+        assert text == reference_chrome(tracer.records)
+        assert {e["ph"] for e in json.loads(text)["traceEvents"]} == {"M", "i"}
+
+    def test_empty_trace_is_an_empty_event_list(self):
+        assert streamed_chrome([]) == '{"displayTimeUnit":"ms","traceEvents":[]}\n'
+        assert streamed_chrome([]) == reference_chrome([])
+
+    def test_chunk_boundaries_do_not_show_in_the_bytes(self, monkeypatch):
+        # Event counts of exactly one chunk, one over and one under.
+        from repro.obs import export
+
+        _, obs = observed_abcast(seed=3)
+        records = obs.tracer.records[:40]
+        expected = reference_chrome(records)
+        events = len(json.loads(expected)["traceEvents"])
+        for chunk in (1, events - 1, events, events + 1):
+            monkeypatch.setattr(export, "_CHUNK", chunk)
+            assert streamed_chrome(records) == expected
+
+    def test_fixed_seed_export_digest_is_pinned(self):
+        # sha256 of this export at the commit before the exporter streamed
+        # (62dc0f5, json.dump of the whole document).
+        spec, obs = observed_abcast(seed=1)
+        text = export_bytes(obs.tracer.records, spec, writer=export_chrome)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "f9986e72103ce7f7c194ef493b599902a17edfc29321f57e8221a8229aca5fa6"
+        )
 
 
 class TestFlightRecorderOnReplay:

@@ -181,6 +181,46 @@ class TestConsensusSpans:
             assert phases, "decided span must have at least one round entry"
             assert phases[-1]["start"] + phases[-1]["duration"] == span.decided_at
 
+    def test_builder_dispatches_each_span_kind_and_skips_the_rest(self):
+        rows = [
+            [0.0, 1, "a-broadcast", [1, 7]],
+            [0.1, 1, "propose", {"value": "v", "instance": [0, 1]}],
+            [0.1, 1, "round-start", {"round": 1, "instance": [0, 1], "phase": "vote"}],
+            [0.2, 1, "msg-send", {"dst": 2, "kind": "M", "channel": "c", "id": 0}],
+            [0.3, 2, "msg-deliver", {"src": 1, "kind": "M", "channel": "c", "id": 0}],
+            [0.4, 1, "round-end",
+             {"outcome": "decided", "steps": 1, "via": "round", "value": "v",
+              "instance": [0, 1]}],
+            [0.4, 1, "decide", {"value": "v", "steps": 1, "via": "round"}],
+            [0.5, 2, "a-deliver", [1, 7]],
+            [0.6, 0, "txn-begin", {"txid": "t1", "shards": [0, 1]}],
+            [0.7, 0, "txn-vote", {"txid": "t1", "shard": 1, "vote": "yes"}],
+            [0.8, 0, "txn-decide", {"txid": "t1", "decision": "commit"}],
+            [0.9, 0, "txn-end", {"txid": "t1", "decision": "commit"}],
+            [1.0, -1, "made-up-kind", None],
+        ]
+        builder = SpanBuilder().add_rows(rows)
+        (consensus,) = builder.consensus_spans()
+        assert consensus.instance == (0, 1) and consensus.fast_path
+        assert consensus.rounds == [(1, "vote", 0.1)]
+        assert consensus.decision_latency == pytest.approx(0.3)
+        (broadcast,) = builder.broadcast_spans()
+        assert (broadcast.origin, broadcast.sent_at) == (1, 0.0)
+        assert broadcast.deliveries == {2: 0.5}
+        (txn,) = builder.txn_spans()
+        assert txn.to_dict() == {
+            "txid": "t1",
+            "coordinator_pid": 0,
+            "begin_at": 0.6,
+            "shards": [0, 1],
+            "votes": {"1": "yes"},
+            "decision": "commit",
+            "decided_at": 0.8,
+            "end_at": 0.9,
+            "duration": pytest.approx(0.3),
+        }
+        assert txn.vote_at == {1: 0.7}
+
 
 class TestExport:
     def test_jsonl_export_is_byte_identical_across_same_seed_runs(self):

@@ -13,18 +13,23 @@ import pytest
 from repro.engine import AbcastRunSpec, RunContext
 from repro.engine.runner import execute_run
 from repro.errors import ConfigurationError
+from repro.nemesis import NemesisSpec, PartitionOp
 from repro.obs import (
     ObsRuntime,
+    SpanBuilder,
     Warehouse,
     build_entry,
+    causal_summary,
     compare_entries,
+    export_jsonl,
+    load_trace,
 )
 from repro.obs.warehouse import WAREHOUSE_SCHEMA, format_entry
 from repro.sim.network import ConstantDelay
 
 
-def record_run(seed=1, delay=1e-3, rate=100.0):
-    """One observed run distilled into a warehouse entry."""
+def observed_run(seed=1, delay=1e-3, rate=100.0, nemesis=None):
+    """One observed run; returns ``(report, trace records)``."""
     from repro.engine import ClusterSpec
 
     spec = AbcastRunSpec(
@@ -35,11 +40,18 @@ def record_run(seed=1, delay=1e-3, rate=100.0):
         drain=2.0,
         cluster=ClusterSpec(delay=ConstantDelay(delay)),
         obs=True,
+        nemesis=nemesis,
+        require_all_delivered=nemesis is None,
     )
     obs = ObsRuntime.from_spec(spec)
     ctx = RunContext(tracer=obs.tracer, obs=obs)
     report = execute_run(spec, ctx=ctx)
-    return build_entry(report, obs.tracer.records)
+    return report, obs.tracer.records
+
+
+def record_run(**fields):
+    """One observed run distilled into a warehouse entry."""
+    return build_entry(*observed_run(**fields))
 
 
 class TestBuildEntry:
@@ -62,6 +74,23 @@ class TestBuildEntry:
         )
         assert canonical(record_run(seed=4)) == canonical(record_run(seed=4))
 
+    def test_entry_equals_offline_analysis_of_the_jsonl_export(self, tmp_path):
+        # The docstring's promise: folding live records gives what the
+        # exported rows, read back off disk, would give.
+        partition = NemesisSpec(
+            (PartitionOp(at=0.05, duration=0.1, groups=((0,), (1, 2, 3))),)
+        )
+        for nemesis in (None, partition):
+            report, records = observed_run(seed=2, nemesis=nemesis)
+            path = tmp_path / "trace.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                export_jsonl(records, fh)
+            _, rows = load_trace(str(path))
+            entry = build_entry(report, records)
+            assert entry["spans"] == SpanBuilder().add_rows(rows).summary()
+            assert entry["critical_path"] == causal_summary(rows)
+            assert entry["critical_path"]["paths"] > 0
+
     def test_fast_path_decision_percentiles_present(self):
         buckets = record_run()["spans"]["decision_latency"]
         assert "fast_path" in buckets
@@ -78,6 +107,25 @@ class TestWarehouseStore:
         assert store.append(entry) == 1
         assert store.load() == [entry, entry]
         assert store.entry(-1) == entry
+
+    def test_append_index_counts_stored_lines(self, tmp_path):
+        path = tmp_path / "wh.jsonl"
+        store = Warehouse(str(path))
+        entry = record_run()
+        assert [store.append(entry) for _ in range(5)] == [0, 1, 2, 3, 4]
+        path.write_text(path.read_text() + "\n  \n")  # blank lines are not entries
+        assert store.append(entry) == 5
+        assert len(store.load()) == 6
+
+    def test_append_does_not_parse_the_store_but_load_still_validates(self, tmp_path):
+        path = tmp_path / "wh.jsonl"
+        path.write_text('{"schema": "something.else"}\n')
+        store = Warehouse(str(path))
+        assert store.append(record_run()) == 1
+        with pytest.raises(ConfigurationError, match="wh.jsonl:1: not a"):
+            store.load()
+        with pytest.raises(ConfigurationError):
+            store.entry(-1)
 
     def test_missing_file_loads_empty_and_entry_raises(self, tmp_path):
         store = Warehouse(str(tmp_path / "absent.jsonl"))
