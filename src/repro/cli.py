@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsm.add_argument(
         "--parallel",
         action="store_true",
-        help="conservative-parallel execution: one kernel per shard group",
+        help="parallel execution: one kernel per shard group",
     )
     p_rsm.add_argument(
         "--workers",
@@ -432,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     o_record.add_argument(
         "--parallel",
         action="store_true",
-        help="conservative-parallel execution (with --shards; adds the "
-             "parallel_speedup distillation to the entry)",
+        help="parallel execution: one kernel per shard group (with --shards)",
     )
     o_record.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -637,10 +636,9 @@ def _cmd_rsm(args: argparse.Namespace) -> int:
     parallel = rsm.get("parallel")
     if parallel:
         print(f"parallel : {parallel['partitions']} partition kernels on "
-              f"{parallel['workers'] or 1} worker(s), "
-              f"{parallel['cross_messages']} cross / "
-              f"{parallel['null_messages']} null messages, "
-              f"speedup bound {parallel['speedup_bound']:.2f}x")
+              f"{parallel['workers'] or 1} worker(s), busiest "
+              f"{parallel['max_partition_events']:,} of "
+              f"{parallel['events_total']:,} events")
     print(f"committed: {rsm['committed']} commands "
           f"({rsm['ops_per_s']:.0f} ops/s in the window)")
     if latency is not None:
@@ -1184,8 +1182,7 @@ def _obs_record(args: argparse.Namespace) -> int:
 
     nemesis = _parse_nemesis(args)
     if args.shards:
-        # RSM service run — report.rsm feeds the warehouse's ops/latency
-        # subset and (with --parallel) the parallel_speedup distillation.
+        # RSM service run — report.rsm feeds the warehouse's ops/latency subset.
         spec = RsmRunSpec(
             protocol=args.protocol,
             rate=args.rate,

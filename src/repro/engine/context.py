@@ -6,11 +6,12 @@ replicas), and each layer re-implemented the "adopt the obs runtime's
 tracer" rule.  :class:`RunContext` collapses that into a single value with
 one resolution rule, applied once at the runner boundary.
 
-The legacy keywords remain accepted everywhere (``run_abcast(...,
-tracer=t)`` and friends keep working unchanged) but are deprecated: new
-code should build a :class:`RunContext` and pass ``ctx=``.  Passing both a
-context and a legacy keyword is a configuration error — silently preferring
-one would hide bugs.
+The legacy keywords remain accepted by the abcast and consensus runners
+(``run_abcast(..., tracer=t)`` and friends keep working unchanged) but are
+deprecated: new code should build a :class:`RunContext` and pass ``ctx=``,
+which is the only spelling the RSM runners take.  Passing both a context
+and a legacy keyword is a configuration error — silently preferring one
+would hide bugs.
 """
 
 from __future__ import annotations

@@ -154,8 +154,8 @@ def run_chunk(
     debugging.  Reports are byte-identical either way, and the parent keys
     the cache by its own copy of the spec, so cache keys are unaffected.
 
-    ``workers_cap`` bounds how many processes a conservative-parallel cell
-    may spawn of its own (the sweep scheduler's share of the CPU budget).
+    ``workers_cap`` bounds how many processes a parallel (kernel-per-shard)
+    cell may spawn of its own (the sweep scheduler's share of the CPU budget).
     It is an execution parameter, never merged into the spec: clamping a
     cell must not change its cache key or any deterministic output.
     """

@@ -128,21 +128,17 @@ def run_consensus_spec(
 
 def run_rsm_spec(
     spec: RsmRunSpec,
-    tracer: Tracer | None = None,
-    obs=None,
     ctx: RunContext | None = None,
     workers_cap: int | None = None,
 ):
     """Execute one RSM service spec; returns an ``RsmRunResult`` (or a
     ``ShardedRsmRunResult`` when the spec's topology asks for shards or the
     workload includes cross-shard transactions).  ``workers_cap`` bounds the
-    conservative-parallel path's worker processes — an execution knob, never
-    part of the spec or its cache key."""
+    parallel path's worker processes — an execution knob, never part of the
+    spec or its cache key."""
     from repro.rsm.runner import run_rsm
 
-    return run_rsm(
-        spec, ctx=RunContext.resolve(ctx, tracer, obs), workers_cap=workers_cap
-    )
+    return run_rsm(spec, ctx=ctx, workers_cap=workers_cap)
 
 
 def _obs_runtime(spec, tracer: Tracer):
@@ -272,14 +268,13 @@ def _execute_rsm_run(
         wall_start = perf_counter()
         result = run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
         wall_seconds = perf_counter() - wall_start
-        stats = getattr(result, "parallel_stats", None)
         perf = collect(
             result.sim,
             wall_seconds=wall_seconds,
             network_stats=result.network_stats,
             nodes=result.nodes,
             trace_counts=tracer.counts(),
-            parallel=stats.to_dict() if stats is not None else None,
+            parallel=getattr(result, "parallel_stats", None),
         ).to_dict()
     else:
         result = run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
@@ -401,8 +396,8 @@ def run_sweep(
             notes.append(f"jobs clamped from {jobs} to {cpus} available CPU(s)")
             jobs = cpus
 
-    # Nested parallelism: a conservative-parallel cell spawns spec.workers
-    # processes of its own.  Clamp the per-cell width so jobs × workers never
+    # Nested parallelism: a parallel (kernel-per-shard) cell spawns
+    # spec.workers processes of its own.  Clamp the per-cell width so jobs × workers never
     # oversubscribes the schedulable CPUs — an execution cap only, threaded
     # beside the spec, so cache keys and deterministic outputs are untouched.
     workers_cap: int | None = None

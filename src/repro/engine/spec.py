@@ -519,7 +519,7 @@ class RsmRunSpec:
     #: Kernel-level batched execution (unrelated to the RSM's command
     #: batching knobs ``batch_max``/``batch_delay`` above).
     batch: bool = True
-    #: Conservative-parallel execution: one kernel per shard group (see
+    #: Parallel execution: one kernel per shard group (see
     #: :mod:`repro.rsm.parallel`).  ``workers`` is the worker-process count
     #: (0 means "decide at run time": 1 process).  Both serialize only when
     #: set, so existing specs keep their exact cache keys.

@@ -71,3 +71,13 @@ class SerializabilityViolation(ProtocolViolation):
 
 class TerminationFailure(ReproError):
     """A run that was expected to decide/deliver did not do so within its horizon."""
+
+
+class WorkerError(ReproError):
+    """A worker process died, or raised something other than a library error,
+    before returning its results.  ``partitions`` names the work it held (for
+    a parallel sharded run: the shard numbers); no partial result is kept."""
+
+    def __init__(self, message: str, partitions: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.partitions = tuple(partitions)

@@ -81,21 +81,6 @@ def build_entry(
             for name in ("ops_per_s", "latency_ms")
             if name in report.rsm
         }
-        parallel = report.rsm.get("parallel")
-        if parallel:
-            # Deterministic distillation of the conservative-parallel run:
-            # the load-balance bound on achievable speedup (total events over
-            # the busiest partition's events) plus the sync-traffic counters.
-            # All simulated quantities — `repro obs compare` can gate the
-            # parallel path without ever reading the wall clock.
-            entry["parallel_speedup"] = {
-                "partitions": parallel.get("partitions"),
-                "workers": parallel.get("workers"),
-                "speedup_bound": parallel.get("speedup_bound"),
-                "null_messages": parallel.get("null_messages"),
-                "cross_messages": parallel.get("cross_messages"),
-                "lookahead_stalls": parallel.get("lookahead_stalls"),
-            }
     if label is not None:
         entry["label"] = label
     return entry
@@ -246,11 +231,7 @@ def compare_entries(
             f"note: same spec, seeds {base.get('seed')} vs {fresh.get('seed')}"
         )
     metrics = _comparable_metrics(base, fresh)
-    speedup_path = ("parallel_speedup", "speedup_bound")
-    base_speedup = _metric(base, speedup_path)
-    fresh_speedup = _metric(fresh, speedup_path)
-    has_speedup = base_speedup is not None and fresh_speedup is not None
-    if not metrics and not has_speedup:
+    if not metrics:
         failures.append("no comparable latency metrics between the two entries")
         return lines, failures
     for name, base_value, fresh_value in metrics:
@@ -267,23 +248,6 @@ def compare_entries(
             )
         lines.append(
             f"  {name}: {fresh_value:.6g} vs {base_value:.6g} ({ratio:.2f}x) {verdict}"
-        )
-    if has_speedup and base_speedup > 0.0:
-        # The speedup bound runs opposite to every latency metric: *smaller*
-        # is worse (the partitions got less balanced, capping what parallel
-        # execution can ever recover).
-        name = ".".join(speedup_path)
-        ratio = fresh_speedup / base_speedup
-        verdict = "ok"
-        if ratio < 1.0 - tolerance:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: {fresh_speedup:.6g}x is {1.0 - ratio:.0%} below "
-                f"baseline {base_speedup:.6g}x (tolerance {tolerance:.0%})"
-            )
-        lines.append(
-            f"  {name}: {fresh_speedup:.6g} vs {base_speedup:.6g} "
-            f"({ratio:.2f}x) {verdict}"
         )
     return lines, failures
 

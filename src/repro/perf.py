@@ -108,10 +108,8 @@ def collect(
     trace_counts:
         Per-kind record counts from :meth:`~repro.sim.trace.Tracer.counts`.
     parallel:
-        A :meth:`~repro.sim.parallel.ParallelStats.to_dict` dict for
-        conservative-parallel runs: partitions, *actual* workers used,
-        window/null-message/lookahead-stall counts and the wall-clock time
-        the parent spent blocked on straggler partitions.  (The spec-level
+        For kernel-per-shard parallel runs: ``partitions``, the *actual*
+        ``workers`` used and ``events_by_partition``.  (The spec-level
         ``workers`` request lives in the deterministic report sections;
         this component records what execution really did.)
     profile:
@@ -258,18 +256,9 @@ def format_perf(perf: Mapping[str, Any]) -> str:
             )
     parallel = components.get("parallel")
     if parallel:
-        lookahead = parallel.get("lookahead")
         lines.append(
             f"parallel : {parallel['partitions']} partition(s) on "
-            f"{parallel['workers']} worker(s), {parallel['windows']:,} "
-            f"window(s)"
-            + (f" of {lookahead:g} s lookahead" if lookahead else "")
-        )
-        lines.append(
-            f"  sync   : {parallel['cross_messages']:,} cross-partition "
-            f"message(s), {parallel['null_messages']:,} null message(s), "
-            f"{parallel['lookahead_stalls']:,} lookahead stall(s), "
-            f"blocked {parallel['blocked_time']:.3f} s on stragglers"
+            f"{parallel['workers']} worker(s)"
         )
         events = parallel.get("events_by_partition") or []
         if events:

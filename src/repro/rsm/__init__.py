@@ -25,7 +25,13 @@ tolerant KV service with the full production shape:
 """
 
 from repro.rsm.batcher import BATCH_TIMER, Batcher
-from repro.rsm.client import DEFAULT_MIX, CommandStream, ServingSet, SessionDriver
+from repro.rsm.client import (
+    DEFAULT_MIX,
+    CommandStream,
+    ServingSet,
+    SessionDriver,
+    ShardKeyStream,
+)
 from repro.rsm.machine import (
     OPS,
     TXN_OPS,
@@ -48,7 +54,6 @@ from repro.rsm.runner import RsmRunResult, run_rsm, service_metrics
 from repro.rsm.session import DedupTable, Request
 from repro.rsm.shard import (
     ShardedRsmRunResult,
-    ShardKeyStream,
     ShardRouter,
     TxnDriver,
     TxnRecord,

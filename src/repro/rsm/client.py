@@ -35,7 +35,13 @@ from repro.rsm.session import Request
 from repro.sim.kernel import derive_seed
 from repro.sim.node import Node
 
-__all__ = ["CommandStream", "SessionDriver", "ServingSet", "DEFAULT_MIX"]
+__all__ = [
+    "CommandStream",
+    "ShardKeyStream",
+    "SessionDriver",
+    "ServingSet",
+    "DEFAULT_MIX",
+]
 
 #: Default operation mix: mostly writes (the interesting case for ordering),
 #: some reads and CAS, a few deletes.
@@ -95,6 +101,23 @@ class CommandStream:
         # fails deterministically otherwise — both outcomes are checked.
         expect = f"s{self._session}.{rng.randrange(1, seq + 1)}"
         return Command("cas", key, value=f"s{self._session}.{seq}", expect=expect)
+
+
+class ShardKeyStream(CommandStream):
+    """Per-session command stream drawing keys from one shard's slice.
+
+    Same draw structure as the base stream (one rng call per key pick), so
+    session workloads stay seed-determined; only the key universe narrows.
+    """
+
+    def __init__(
+        self, session: int, seed: int, keys: int, slice_keys: tuple[str, ...]
+    ) -> None:
+        super().__init__(session, seed, keys)
+        self._slice = slice_keys
+
+    def _pick_key(self, rng: random.Random) -> str:
+        return self._slice[rng.randrange(len(self._slice))]
 
 
 class ServingSet:

@@ -1,59 +1,41 @@
-"""Conservative-parallel execution of sharded RSM runs.
+"""Parallel execution of sharded RSM runs: one kernel per shard, mapped.
 
 A sharded spec with no cross-shard transaction sessions is *perfectly*
 partitionable: every consensus group has its own replicas, failure
 detector, serving set and pinned client sessions, and the key router keeps
-every command inside its shard.  This module runs each shard group as one
-partition on the :mod:`repro.sim.parallel` substrate — its own
-:class:`~repro.sim.kernel.Simulator` (seeded stably from the partition id,
-``derive_seed(spec.seed, "parallel-shard", shard)``), its own network and
-storage fabric, its own shard-filtered nemesis schedule — and merges the
-per-shard outcomes back into a result that duck-types
-:class:`~repro.rsm.shard.ShardedRsmRunResult` for metrics, checkers and
-reports.
+every command inside its shard — no message ever crosses a shard boundary.
+So there is nothing to synchronise.  Each shard is one task of an ordered
+map (:func:`repro.sim.parallel.run_partitions`): build the shard's
+:class:`~repro.rsm.group.ReplicaGroup` on its own fabric — a
+:class:`~repro.sim.kernel.Simulator` seeded stably from the shard id
+(``derive_seed(spec.seed, "parallel-shard", shard)``), its own network and
+storage, its own shard-filtered nemesis schedule — run it to
+``spec.horizon``, check it, and return the
+:class:`~repro.rsm.group.ShardOutcome`.  The parent merges the outcomes into
+the same :class:`~repro.rsm.shard.ShardedRsmRunResult` the serial runner
+returns; metrics and reports read nothing else.
 
-Because shards exchange no messages, the partition plan has no cross links
-(``lookahead=None``) and conservative synchronization degenerates to its
-fastest case: a single window to the horizon, no null messages, no barrier
-IPC.  The lookahead/window machinery still governs any plan *with* cross
-links (see :func:`repro.sim.parallel.run_partitions`); cross-shard 2PC
-sessions would need it, which is why ``parallel=True`` with
-``txn_clients > 0`` is rejected at spec validation.
+Cross-shard 2PC sessions *would* exchange messages between shards, which is
+why ``parallel=True`` with ``txn_clients > 0`` is rejected at spec
+validation rather than synchronised.
 
-Determinism: the partition plan, per-shard seeds and per-shard nemesis
-filters depend only on the spec — never on the worker count — so
-``workers=1`` (in-process) and ``workers=N`` (multiprocess) produce
-byte-identical merged traces and reports.  Note the per-shard RNG streams
-differ *by construction* from the single-kernel serial path (one shared
-``"network"`` stream there, one per shard here), so ``parallel=True`` is a
-different — equally valid, self-consistent — sample of the same workload
-distribution; byte-identity holds across worker counts, not across the
-parallel/serial switch.
+Determinism: per-shard seeds and per-shard nemesis filters depend only on
+the spec — never on the worker count — so ``workers=1`` (in-process) and
+``workers=N`` produce byte-identical merged traces and reports.  Note the
+per-shard RNG streams differ *by construction* from the single-kernel serial
+path (one shared ``"network"`` stream there, one per shard here), so
+``parallel=True`` is a different — equally valid, self-consistent — sample
+of the same workload distribution; byte-identity holds across worker
+counts, not across the parallel/serial switch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.context import RunContext
 from repro.engine.spec import RsmRunSpec
-from repro.errors import (
-    ConfigurationError,
-    LinearizabilityViolation,
-    ReproError,
-    TerminationFailure,
-)
-from repro.fd.oracle import OracleFailureDetector
-from repro.harness.checkers import (
-    check_cross_shard_serializable,
-    check_rsm_exactly_once,
-    check_rsm_linearizable,
-    check_rsm_log_consistent,
-    check_rsm_session_order,
-    check_uniform_total_order,
-)
-from repro.harness.registry import ABCAST, get_protocol
+from repro.errors import ConfigurationError, ReproError
 from repro.nemesis.spec import (
     CpuSkewOp,
     CrashOp,
@@ -64,36 +46,40 @@ from repro.nemesis.spec import (
     NemesisSpec,
     PartitionOp,
 )
-from repro.rsm.client import ServingSet, SessionDriver
-from repro.rsm.machine import TxnKvStore
-from repro.rsm.replica import RsmReplica
-from repro.rsm.runner import _build_arrivals
-from repro.rsm.session import Request
-from repro.rsm.shard import ShardKeyStream, ShardRouter, shard_pid_groups
-from repro.sim.kernel import Simulator, derive_seed
-from repro.sim.network import Network
-from repro.sim.node import Node
-from repro.sim.parallel import ParallelStats, PartitionPlan, run_partitions
-from repro.sim.storage import StorageFabric
+from repro.rsm.group import (
+    Fabric,
+    ReplicaGroup,
+    ShardOutcome,
+    check_acknowledged,
+    launch,
+)
+from repro.rsm.shard import ShardedRsmRunResult, ShardRouter, shard_pid_groups
+from repro.sim.kernel import derive_seed
+from repro.sim.parallel import PartitionPlan, run_partitions
 from repro.sim.trace import Tracer
 
 __all__ = [
-    "ParallelShardedRunResult",
-    "ShardOutcome",
     "filter_nemesis_for_shard",
     "run_parallel_sharded_rsm",
     "shard_partition_plan",
 ]
 
+#: Kernel counters each shard reports; the merged result sums them.
+_KERNEL_COUNTERS = (
+    "events_processed",
+    "events_scheduled",
+    "compactions",
+    "drain_batches",
+    "batched_events",
+)
+
 
 def shard_partition_plan(spec: RsmRunSpec) -> PartitionPlan:
     """One partition per shard group, pids numbered as in the serial runner.
 
-    The plan carries ``lookahead=None``: with sessions pinned to shards and
-    no transaction drivers, no message ever crosses a partition boundary, so
-    the conservative scheduler needs no windows at all.  Cross-shard 2PC
-    traffic would require ``lookahead = cluster.delay.min_delay()``; specs
-    that need it are rejected before reaching this point.
+    With sessions pinned to shards and no transaction drivers, no message
+    ever crosses a partition boundary; specs that would need one are
+    rejected here (and at spec validation).
     """
     if not spec.is_sharded:
         raise ConfigurationError("partition plan needs a sharded topology")
@@ -102,7 +88,7 @@ def shard_partition_plan(spec: RsmRunSpec) -> PartitionPlan:
             "parallel execution requires txn_clients == 0: 2PC sessions span "
             "shards and would cross partition boundaries"
         )
-    return PartitionPlan(groups=shard_pid_groups(spec), lookahead=None)
+    return PartitionPlan(groups=shard_pid_groups(spec))
 
 
 def filter_nemesis_for_shard(
@@ -145,473 +131,52 @@ def filter_nemesis_for_shard(
     return NemesisSpec(tuple(kept))
 
 
-# ------------------------------------------------------------ shard harness
+def _run_shard(shard: int, payload: tuple) -> ShardOutcome:
+    """The map's task: one shard on its own fabric, built, run and checked.
 
-
-@dataclass
-class ShardOutcome:
-    """Everything one finished shard partition ships back to the parent.
-
-    Plain data only — this object crosses a process boundary.  ``failure``
-    carries the shard's checker error (a :class:`ReproError`) instead of
-    raising inside the worker, so the parent can merge every shard's trace
-    before re-raising the first failure in shard order.
+    Everything the shard draws from hangs off its own simulator, seeded from
+    the shard id, so the outcome is a pure function of (spec, shard):
+    identical wherever the task runs.
     """
-
-    shard: int
-    trace: list[tuple[float, int, str, Any]]
-    network_stats: dict
-    kernel: dict
-    sessions: dict[int, dict]
-    authority: int
-    applied_index: int
-    digest: str
-    dedup_suppressed: int
-    commit_order: list[tuple[str, tuple[str, ...]]]
-    linearizable: bool
-    crashed: list[int]
-    snapshots_taken: int
-    snapshot_bytes: int
-    learner_stats: dict[int, dict]
-    failure: ReproError | None = None
-
-    @property
-    def events_processed(self) -> int:
-        return self.kernel["events_processed"]
-
-
-class _ShardHarness:
-    """One shard group on its own kernel: the partition-side of a run.
-
-    Construction mirrors :func:`repro.rsm.shard.run_sharded_rsm` exactly —
-    same global pid numbering, same session-to-shard pinning, same home and
-    ``start_at`` formulas — restricted to the pids, sessions and faults this
-    shard owns.  Every stream the shard draws from hangs off its own
-    simulator, seeded from the partition id, so the shard's behaviour is a
-    pure function of (spec, shard): identical wherever the harness runs.
-    """
-
-    def __init__(self, spec: RsmRunSpec, shard: int, want_trace: bool,
-                 obs_detail: bool) -> None:
-        self.spec = spec
-        self.shard = shard
-        info = get_protocol(spec.protocol, kind=ABCAST)
-        cluster = spec.cluster
-        groups = spec.topology.groups
-        gsize = spec.group_size
-        self.pids = list(range(shard * gsize, (shard + 1) * gsize))
-        pidset = frozenset(self.pids)
-        router = ShardRouter(groups, spec.keys, spec.topology.partitioner)
-
-        tracer = Tracer() if (want_trace or obs_detail) else None
-        self.tracer = tracer
-        sim = Simulator(
-            seed=derive_seed(spec.seed, "parallel-shard", shard),
-            batch=spec.batch,
-        )
-        self.sim = sim
-        network = Network(
-            sim,
-            delay=cluster.delay,
-            datagram_delay=cluster.datagram_delay,
-            datagram_loss=cluster.datagram_loss,
-            capacity=cluster.capacity,
-        )
-        self.network = network
-        if obs_detail:
-            network.obs_tracer = tracer
-        fabric = StorageFabric()
-        initially_crashed = tuple(
-            pid for pid in cluster.initially_crashed if pid in pidset
-        )
-        oracle = OracleFailureDetector(
-            sim,
-            self.pids,
-            detection_delay=cluster.detection_delay,
-            initially_crashed=initially_crashed,
-        )
-
-        def make_serving(pid: int) -> RsmReplica:
-            return RsmReplica(
-                machine=TxnKvStore(),
-                store=fabric.store(pid),
-                module_factory=lambda host, env, pid=pid: info.factory(
-                    pid, env, oracle, host
-                ),
-                batch_max=spec.batch_max,
-                batch_delay=spec.batch_delay,
-                snapshot_every=spec.snapshot_every,
-                catchup_interval=spec.catchup_interval,
-                tracer=tracer,
-            )
-
-        replicas: dict[int, RsmReplica] = {}
-        nodes: dict[int, Node] = {}
-        for pid in self.pids:
-            replica = make_serving(pid)
-            if obs_detail:
-                replica.obs_detail = True
-            replicas[pid] = replica
-            nodes[pid] = Node(
-                sim, network, pid, self.pids, replica,
-                service_time=cluster.service_time,
-            )
-            nodes[pid].add_crash_listener(oracle.on_crash)
-        self.replicas = replicas
-        self.nodes = nodes
-
-        for pid in initially_crashed:
-            nodes[pid].crash()
-        for pid, node in nodes.items():
-            if pid not in initially_crashed:
-                node.start()
-
-        serving = ServingSet(
-            pid for pid in self.pids if pid not in initially_crashed
-        )
-        self.serving = serving
-        think = spec.clients / spec.rate
-        drivers: dict[int, SessionDriver] = {}
-        for session in range(spec.clients):
-            if session % groups != shard:
-                continue
-            serving_now = serving.pids()
-            drivers[session] = SessionDriver(
-                session=session,
-                home=serving_now[(session // groups) % len(serving_now)],
-                nodes=nodes,
-                replicas=replicas,
-                serving=serving,
-                stream=ShardKeyStream(
-                    session, spec.seed, spec.keys, router.keys_for(shard)
-                ),
-                duration=spec.duration,
-                mode=spec.workload,
-                arrivals=(
-                    _build_arrivals(spec, session)
-                    if spec.workload == "open"
-                    else ()
-                ),
-                think_time=think if spec.workload == "closed" else 0.0,
-                start_at=think * (session + 1) / spec.clients,
-                failover_delay=spec.failover_delay,
-            )
-        self.drivers = drivers
-
-        def route_commit(
-            pid: int, request: Request, result: Any, at: float
-        ) -> None:
-            driver = drivers.get(request.session)
-            if driver is not None:
-                driver.on_commit(pid, request, result, at)
-
-        for replica in replicas.values():
-            replica.add_commit_listener(route_commit)
-
-        def on_mid_run_crash(pid: int) -> None:
-            serving.remove(pid)
-            for driver in drivers.values():
-                driver.on_replica_crash(pid, sim.now)
-
-        for node in nodes.values():
-            node.add_crash_listener(on_mid_run_crash)
-        for driver in drivers.values():
-            driver.start()
-
-        self.first_lives = dict(replicas)
-        self.learners: dict[int, RsmReplica] = {}
-
-        def make_rebuild(pid: int):
-            def rebuild() -> RsmReplica:
-                learner = RsmReplica(
-                    machine=TxnKvStore(),
-                    store=fabric.store(pid),
-                    module_factory=None,
-                    snapshot_every=spec.snapshot_every,
-                    catchup_interval=spec.catchup_interval,
-                    tracer=tracer,
-                )
-                if obs_detail:
-                    learner.obs_detail = True
-                self.learners[pid] = learner
-                replicas[pid] = learner
-                return learner
-
-            return rebuild
-
-        self.initially_crashed = initially_crashed
-        self.crash_at = tuple(
-            (pid, at) for pid, at in spec.crash_at if pid in pidset
-        )
-        for pid, at in self.crash_at:
-            nodes[pid].crash_at(at)
-            if spec.recover_after is not None:
-                nodes[pid].recover_at(at + spec.recover_after, make_rebuild(pid))
-
-        if spec.nemesis:
-            from repro.nemesis.inject import NemesisRuntime
-
-            local = filter_nemesis_for_shard(spec.nemesis, pidset)
-            if local:
-
-                def nemesis_recovery(pid: int, at: float) -> None:
-                    if spec.recover_after is None:
-                        return
-                    rebuild = make_rebuild(pid)
-
-                    def recover_if_down(pid: int = pid) -> None:
-                        if nodes[pid].crashed:
-                            nodes[pid].recover(rebuild())
-
-                    sim.schedule_at(at + spec.recover_after, recover_if_down)
-
-                NemesisRuntime(
-                    local,
-                    sim=sim,
-                    network=network,
-                    nodes=nodes,
-                    oracle=oracle,
-                    tracer=tracer,
-                    crash_hook=nemesis_recovery,
-                ).install()
-
-    # --------------------------------------------- PartitionHarness protocol
-
-    def inject(self, messages) -> None:  # pragma: no cover - no cross links
-        raise ConfigurationError(
-            f"shard {self.shard} received a cross-partition message; "
-            "sharded plans have no cross links"
-        )
-
-    def advance(self, until: float) -> list:
-        self.sim.run(until=until, max_events=self.spec.max_events)
-        return []
-
-    def pending(self) -> bool:
-        return self.sim.pending() > 0
-
-    def stopped(self) -> bool:
-        return self.sim.stopped
-
-    # ------------------------------------------------------------ validation
-
-    def finish(self) -> ShardOutcome:
-        spec = self.spec
-        replicas = self.replicas
-        failure: ReproError | None = None
-        linearizable = True
-        authority = min(self.pids)
-        commit_order: list[tuple[str, tuple[str, ...]]] = []
-        try:
-            survivors = self.serving.pids()
-            if not survivors:
-                raise TerminationFailure(
-                    f"no serving replica of shard {self.shard} survived the run"
-                )
-            authority = min(
-                survivors, key=lambda pid: (-replicas[pid].applied_index, pid)
-            )
-            auth = replicas[authority]
-            try:
-                check_rsm_linearizable(
-                    [(e.request.command, e.result) for e in auth.audit],
-                    TxnKvStore(),
-                )
-            except LinearizabilityViolation:
-                if spec.check:
-                    raise
-                linearizable = False
-            if spec.check:
-                check_uniform_total_order(
-                    {pid: replicas[pid].abcast.delivered_ids for pid in survivors}
-                )
-                audited = {
-                    pid: [e.request.rid for e in replicas[pid].audit]
-                    for pid in (*survivors, *self.learners)
-                }
-                check_rsm_exactly_once(audited)
-                check_rsm_session_order(audited)
-                check_rsm_log_consistent(
-                    {
-                        pid: [(e.index, e.request.rid) for e in replicas[pid].audit]
-                        for pid in (*survivors, *self.learners)
-                    }
-                )
-                for pid in survivors:
-                    if replicas[pid].digest() != auth.digest():
-                        raise TerminationFailure(
-                            f"shard {self.shard}: survivor {pid} diverged from "
-                            f"replica {authority} at drain"
-                        )
-                for pid, learner in self.learners.items():
-                    if learner.digest() != auth.digest():
-                        raise TerminationFailure(
-                            f"shard {self.shard}: recovered replica {pid} did "
-                            f"not converge by the horizon (applied "
-                            f"{learner.applied_index}/{auth.applied_index})"
-                        )
-                leftover = auth.machine.prepared_txids
-                if leftover:
-                    raise TerminationFailure(
-                        f"shard {self.shard} drained with prepared-but-"
-                        f"undecided transactions (locks leaked): {leftover}"
-                    )
-                unacked = {
-                    session: sorted(driver.pending)
-                    for session, driver in self.drivers.items()
-                    if driver.pending
-                }
-                if unacked:
-                    raise TerminationFailure(
-                        f"requests never acknowledged within the horizon: "
-                        f"{unacked}"
-                    )
-        except ReproError as err:
-            failure = err
-
-        auth = replicas[authority]
-        crashed = sorted(
-            set(pid for pid, _ in self.crash_at) | set(self.initially_crashed)
-        )
-        snapshot_lives = list(self.first_lives.values()) + list(
-            self.learners.values()
-        )
-        kernel = {
-            "events_processed": self.sim.events_processed,
-            "events_scheduled": self.sim.events_scheduled,
-            "compactions": self.sim.compactions,
-            "drain_batches": self.sim.drain_batches,
-            "batched_events": self.sim.batched_events,
-            "pending": self.sim.pending(),
-            "now": self.sim.now,
-        }
-        return ShardOutcome(
-            shard=self.shard,
-            trace=(
-                [(r.time, r.pid, r.kind, r.data) for r in self.tracer.records]
-                if self.tracer is not None
-                else []
-            ),
-            network_stats=self.network.stats.snapshot(),
-            kernel=kernel,
-            sessions={
-                session: {
-                    "latencies": driver.latencies(),
-                    "pending": {
-                        seq: record.submit_at
-                        for seq, record in driver.pending.items()
-                    },
-                    "retries": driver.retries,
-                }
-                for session, driver in self.drivers.items()
-            },
-            authority=authority,
-            applied_index=auth.applied_index,
-            digest=auth.digest(),
-            dedup_suppressed=auth.dedup.suppressed,
-            commit_order=commit_order,
-            linearizable=linearizable,
-            crashed=crashed,
-            snapshots_taken=sum(r.snapshots_taken for r in snapshot_lives),
-            snapshot_bytes=sum(r.snapshot_bytes for r in snapshot_lives),
-            learner_stats={
-                pid: {
-                    "installed_index": learner.recovered_from_index,
-                    "replayed": learner.replayed,
-                    "snapshot_installs": learner.snapshot_installs,
-                    "digest": learner.digest(),
-                }
-                for pid, learner in self.learners.items()
-            },
-            failure=failure,
-        )
-
-
-def _build_shard_harness(partition: int, payload: tuple) -> _ShardHarness:
-    """Picklable harness factory for :func:`run_partitions` workers."""
-    spec, want_trace, obs_detail = payload
-    return _ShardHarness(spec, partition, want_trace, obs_detail)
-
-
-# ------------------------------------------------------------- parent merge
-
-
-class _ReplicaStub:
-    """Metrics-facing stand-in for a replica that lived in a worker."""
-
-    __slots__ = (
-        "applied_index", "_digest", "dedup", "snapshots_taken",
-        "snapshot_bytes", "recovered_from_index", "replayed",
-        "snapshot_installs",
+    spec, want_trace, detail = payload
+    tracer = Tracer() if (want_trace or detail) else None
+    fabric = Fabric.fresh(
+        spec,
+        tracer=tracer,
+        detail=detail,
+        seed=derive_seed(spec.seed, "parallel-shard", shard),
     )
+    if detail:
+        fabric.network.obs_tracer = tracer
+    router = ShardRouter(spec.topology.groups, spec.keys, spec.topology.partitioner)
+    group = ReplicaGroup(spec, fabric, shard, router.keys_for(shard))
+    nemesis = spec.nemesis and filter_nemesis_for_shard(
+        spec.nemesis, frozenset(group.pids)
+    )
+    launch([group], nemesis=nemesis)
+    sim = fabric.sim
+    sim.run(until=spec.horizon, max_events=spec.max_events)
 
-    def __init__(self, applied_index: int = 0, digest: str = "",
-                 suppressed: int = 0, snapshots_taken: int = 0,
-                 snapshot_bytes: int = 0, recovered_from_index: int = 0,
-                 replayed: int = 0, snapshot_installs: int = 0) -> None:
-        self.applied_index = applied_index
-        self._digest = digest
-        self.dedup = _DedupStub(suppressed)
-        self.snapshots_taken = snapshots_taken
-        self.snapshot_bytes = snapshot_bytes
-        self.recovered_from_index = recovered_from_index
-        self.replayed = replayed
-        self.snapshot_installs = snapshot_installs
-
-    def digest(self) -> str:
-        return self._digest
-
-
-class _DedupStub:
-    __slots__ = ("suppressed",)
-
-    def __init__(self, suppressed: int) -> None:
-        self.suppressed = suppressed
-
-
-class _PendingStub:
-    __slots__ = ("submit_at",)
-
-    def __init__(self, submit_at: float) -> None:
-        self.submit_at = submit_at
-
-
-class _DriverStub:
-    """Latency/retry surface of a worker-side session driver."""
-
-    __slots__ = ("_latencies", "pending", "retries")
-
-    def __init__(self, stats: dict) -> None:
-        self._latencies = [tuple(pair) for pair in stats["latencies"]]
-        self.pending = {
-            seq: _PendingStub(submit_at)
-            for seq, submit_at in sorted(stats["pending"].items())
-        }
-        self.retries = stats["retries"]
-
-    def latencies(self) -> list[tuple[float, float]]:
-        return self._latencies
+    outcome = group.check()
+    if tracer is not None:
+        outcome.trace = [(r.time, r.pid, r.kind, r.data) for r in tracer.records]
+    outcome.network_stats = fabric.network.stats.snapshot()
+    outcome.kernel = {name: getattr(sim, name) for name in _KERNEL_COUNTERS}
+    outcome.kernel.update(pending=sim.pending(), now=sim.now)
+    return outcome
 
 
 class _KernelTotals:
-    """Summed kernel counters across partitions, shaped like a Simulator.
+    """Summed kernel counters across shard kernels, shaped like a Simulator.
 
     :func:`repro.perf.collect` reads these attributes off ``result.sim``;
     the totals make its kernel component meaningful for a partitioned run
     (events/s then measures the whole fleet against the run's wall clock).
     """
 
-    __slots__ = (
-        "events_processed", "events_scheduled", "compactions",
-        "drain_batches", "batched_events", "now", "_pending",
-    )
-
     def __init__(self, kernels: list[dict]) -> None:
-        self.events_processed = sum(k["events_processed"] for k in kernels)
-        self.events_scheduled = sum(k["events_scheduled"] for k in kernels)
-        self.compactions = sum(k["compactions"] for k in kernels)
-        self.drain_batches = sum(k["drain_batches"] for k in kernels)
-        self.batched_events = sum(k["batched_events"] for k in kernels)
+        for name in _KERNEL_COUNTERS:
+            setattr(self, name, sum(k[name] for k in kernels))
         self.now = max((k["now"] for k in kernels), default=0.0)
         self._pending = sum(k["pending"] for k in kernels)
 
@@ -633,10 +198,10 @@ def _merge_values(a: Any, b: Any) -> Any:
 
 
 def merge_network_stats(snapshots: list[dict]) -> dict:
-    """Fold per-partition ``NetworkStats.snapshot()`` dicts into one.
+    """Fold per-shard ``NetworkStats.snapshot()`` dicts into one.
 
     Counters add, nested per-channel/per-kind dicts merge key-wise, list
-    values (e.g. recorded partition windows) concatenate in partition order.
+    values (e.g. recorded partition windows) concatenate in shard order.
     """
     merged: dict = {}
     for snapshot in snapshots:
@@ -644,72 +209,18 @@ def merge_network_stats(snapshots: list[dict]) -> dict:
     return merged
 
 
-@dataclass
-class ParallelShardedRunResult:
-    """Merged outcome of a conservative-parallel sharded run.
-
-    Duck-types :class:`~repro.rsm.shard.ShardedRsmRunResult` everywhere the
-    engine reads one (``sharded_service_metrics``, ``window_commit_latencies``,
-    report assembly, perf collection), with replica/driver surfaces backed by
-    worker-shipped stubs and ``sim`` backed by summed kernel counters.  The
-    extra ``parallel`` dict is the deterministic scheduler summary that lands
-    in ``RunReport.rsm["parallel"]``.
-    """
-
-    spec: RsmRunSpec
-    router: ShardRouter
-    replicas: dict[int, Any]
-    first_lives: dict[int, Any]
-    learners: dict[int, Any]
-    drivers: dict[int, Any]
-    txn_drivers: dict[int, Any]
-    authorities: dict[int, int]
-    commit_orders: dict[int, list]
-    crashed: list[int]
-    duration: float
-    network_stats: dict
-    linearizable: bool
-    parallel: dict
-    sim: Any = field(repr=False)
-    nodes: dict[int, Any] = field(repr=False, default_factory=dict)
-    parallel_stats: ParallelStats | None = field(repr=False, default=None)
-
-    @property
-    def shards(self) -> int:
-        return self.router.groups
-
-    @property
-    def committed(self) -> int:
-        return sum(
-            self.replicas[pid].applied_index for pid in self.authorities.values()
-        )
-
-    def shard_pids(self, shard: int) -> list[int]:
-        gsize = self.spec.group_size
-        return list(range(shard * gsize, (shard + 1) * gsize))
-
-    def digests(self) -> dict[int, str]:
-        return {pid: replica.digest() for pid, replica in self.replicas.items()}
-
-
 def run_parallel_sharded_rsm(
     spec: RsmRunSpec,
     ctx: RunContext | None = None,
-    tracer=None,
-    obs=None,
     workers_cap: int | None = None,
-) -> ParallelShardedRunResult:
+) -> ShardedRsmRunResult:
     """Run one sharded spec with one kernel per shard group, then merge.
 
     ``workers_cap`` is an *execution* limit (the sweep scheduler's share of
     the CPU budget) — it caps how many worker processes run, never touches
     the spec, and cannot change any deterministic output.
     """
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    if spec.txn_clients:
-        raise ConfigurationError(
-            "parallel execution requires txn_clients == 0 (2PC spans shards)"
-        )
+    ctx = ctx if ctx is not None else RunContext()
     if ctx.obs is not None and (
         ctx.obs.registry is not None or ctx.obs.recorder is not None
     ):
@@ -718,21 +229,17 @@ def run_parallel_sharded_rsm(
             "obs_metrics_interval / obs_flight_recorder or run serial"
         )
     plan = shard_partition_plan(spec)
-    workers = spec.workers if spec.workers else 1
+    workers = min(spec.workers or 1, plan.partitions)
     if workers_cap is not None:
         workers = min(workers, max(1, workers_cap))
     payload = (spec, ctx.tracer is not None, ctx.detail)
-    outcomes, stats = run_partitions(
-        _build_shard_harness,
-        [payload] * plan.partitions,
-        plan,
-        spec.horizon,
-        workers=workers,
+    outcomes = run_partitions(
+        _run_shard, [payload] * plan.partitions, plan, workers=workers
     )
 
     # Merge traces first — even a failing run keeps its evidence.  The
     # interleave key (time, shard, local order) is a deterministic refinement
-    # of per-shard emission order, independent of where partitions ran.
+    # of per-shard emission order, independent of where shards ran.
     if ctx.tracer is not None:
         tagged = [
             (record[0], outcome.shard, index, record)
@@ -743,93 +250,36 @@ def run_parallel_sharded_rsm(
         for _, _, _, (at, pid, kind, data) in tagged:
             ctx.tracer.emit(at, pid, kind, data)
 
-    gsize = spec.group_size
-    replicas: dict[int, Any] = {}
-    first_lives: dict[int, Any] = {}
-    learners: dict[int, Any] = {}
-    drivers: dict[int, Any] = {}
-    authorities: dict[int, int] = {}
-    commit_orders: dict[int, list] = {}
-    crashed: list[int] = []
-    failure: ReproError | None = None
-    for outcome in outcomes:
-        shard = outcome.shard
-        authorities[shard] = outcome.authority
-        commit_orders[shard] = outcome.commit_order
-        crashed.extend(outcome.crashed)
-        replicas[outcome.authority] = _ReplicaStub(
-            applied_index=outcome.applied_index,
-            digest=outcome.digest,
-            suppressed=outcome.dedup_suppressed,
-        )
-        # One stub per shard carries the shard's whole snapshot tally (the
-        # metrics layer only ever sums over first_lives/learners values).
-        first_lives[shard * gsize] = _ReplicaStub(
-            snapshots_taken=outcome.snapshots_taken,
-            snapshot_bytes=outcome.snapshot_bytes,
-        )
-        for pid, learner in sorted(outcome.learner_stats.items()):
-            stub = _ReplicaStub(
-                digest=learner["digest"],
-                recovered_from_index=learner["installed_index"],
-                replayed=learner["replayed"],
-                snapshot_installs=learner["snapshot_installs"],
-            )
-            learners[pid] = stub
-            if pid != outcome.authority:
-                replicas[pid] = stub
-        for session, session_stats in sorted(outcome.sessions.items()):
-            drivers[session] = _DriverStub(session_stats)
-        if failure is None and outcome.failure is not None:
-            failure = outcome.failure
+    # The first failure in shard order; each shard answers for its own
+    # sessions' acknowledgements (nothing spans shards here).
+    try:
+        for outcome in outcomes:
+            if outcome.failure is not None:
+                raise outcome.failure
+            if spec.check:
+                check_acknowledged(outcome.sessions)
+    except ReproError as err:
+        raise ctx.attach_failure(err)
 
-    if failure is not None:
-        raise ctx.attach_failure(failure)
-    if spec.check:
-        try:
-            check_cross_shard_serializable(commit_orders)
-        except ReproError as err:
-            raise ctx.attach_failure(err)
-
-    events = stats.events_by_partition
-    events_total = sum(events)
-    max_events = max(events, default=0)
-    parallel = {
-        "partitions": stats.partitions,
-        "workers": spec.workers,
-        "lookahead": stats.lookahead,
-        "windows": stats.windows,
-        "null_messages": stats.null_messages,
-        "cross_messages": stats.cross_messages,
-        "lookahead_stalls": stats.lookahead_stalls,
-        "events_total": events_total,
-        "max_partition_events": max_events,
-        "speedup_bound": (events_total / max_events) if max_events else 1.0,
-    }
-    return ParallelShardedRunResult(
+    events = [o.kernel["events_processed"] for o in outcomes]
+    return ShardedRsmRunResult(
         spec=spec,
         router=ShardRouter(
             spec.topology.groups, spec.keys, spec.topology.partitioner
         ),
-        replicas=replicas,
-        first_lives=first_lives,
-        learners=learners,
-        drivers={session: drivers[session] for session in sorted(drivers)},
-        txn_drivers={},
-        authorities=authorities,
-        commit_orders=commit_orders,
-        crashed=sorted(set(crashed)),
+        outcomes=outcomes,
         duration=max((o.kernel["now"] for o in outcomes), default=0.0),
         network_stats=merge_network_stats([o.network_stats for o in outcomes]),
-        linearizable=all(o.linearizable for o in outcomes),
-        parallel=parallel,
         sim=_KernelTotals([o.kernel for o in outcomes]),
-        nodes={},
-        parallel_stats=stats,
+        parallel={
+            "partitions": plan.partitions,
+            "workers": spec.workers,
+            "events_total": sum(events),
+            "max_partition_events": max(events),
+        },
+        parallel_stats={
+            "partitions": plan.partitions,
+            "workers": workers,
+            "events_by_partition": events,
+        },
     )
-
-
-# Re-exported for tests that exercise the RNG-stream derivation directly.
-def shard_seed(root_seed: int, shard: int) -> int:
-    """The per-partition kernel seed: stable in (root seed, shard id) only."""
-    return derive_seed(root_seed, "parallel-shard", shard)

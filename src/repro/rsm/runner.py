@@ -23,35 +23,22 @@ dedup/retry counters, recovery summary).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.context import RunContext
 from repro.engine.spec import RsmRunSpec
-from repro.errors import (
-    ConfigurationError,
-    LinearizabilityViolation,
-    ReproError,
-    TerminationFailure,
+from repro.errors import ConfigurationError, ReproError
+from repro.rsm.group import (
+    Fabric,
+    ReplicaGroup,
+    ShardOutcome,
+    check_acknowledged,
+    launch,
 )
-from repro.fd.oracle import OracleFailureDetector
-from repro.harness.checkers import (
-    check_rsm_exactly_once,
-    check_rsm_linearizable,
-    check_rsm_log_consistent,
-    check_rsm_session_order,
-    check_uniform_total_order,
-)
-from repro.harness.registry import ABCAST, get_protocol
-from repro.rsm.client import CommandStream, ServingSet, SessionDriver
-from repro.rsm.machine import KvStore
 from repro.rsm.replica import RsmReplica
-from repro.rsm.session import Request
-from repro.sim.kernel import Simulator, derive_seed
-from repro.sim.network import Network
+from repro.sim.kernel import Simulator
 from repro.sim.node import Node
-from repro.sim.storage import StorageFabric
 from repro.workload.metrics import _percentile, summarize
 
 __all__ = ["RsmRunResult", "run_rsm", "service_metrics"]
@@ -66,43 +53,45 @@ class RsmRunResult:
     first_lives: dict[int, RsmReplica]       # pre-crash incarnations
     learners: dict[int, RsmReplica]          # rejoined replicas (subset)
     drivers: dict[int, Any]                  # session -> SessionDriver
-    authority: int                           # pid of the reference survivor
-    crashed: list[int]
+    outcome: ShardOutcome                    # the group's checked plain data
     duration: float
     network_stats: dict
-    linearizable: bool
     sim: Simulator = field(repr=False)
     nodes: dict[int, Node] = field(repr=False, default_factory=dict)
 
     @property
+    def authority(self) -> int:
+        """Pid of the reference survivor."""
+        return self.outcome.authority
+
+    @property
+    def crashed(self) -> list[int]:
+        return self.outcome.crashed
+
+    @property
+    def linearizable(self) -> bool:
+        return self.outcome.linearizable
+
+    @property
+    def sessions(self) -> dict[int, dict]:
+        """session -> plain latency/pending/retry stats (see ``session_stats``)."""
+        return self.outcome.sessions
+
+    @property
     def committed(self) -> int:
-        return self.replicas[self.authority].applied_index
+        return self.outcome.applied_index
 
     def digests(self) -> dict[int, str]:
         return {pid: replica.digest() for pid, replica in self.replicas.items()}
 
 
-def _build_arrivals(spec: RsmRunSpec, session: int) -> list[float]:
-    """Open-loop Poisson plan for one session (aggregate rate split evenly)."""
-    rng = random.Random(derive_seed(spec.seed, "rsm-arrivals", session))
-    per_session = spec.rate / spec.clients
-    t = 0.0
-    plan: list[float] = []
-    while True:
-        t += rng.expovariate(per_session)
-        if t >= spec.duration:
-            return plan
-        plan.append(t)
-
-
 def run_rsm(
-    spec: RsmRunSpec, tracer=None, obs=None, ctx=None, workers_cap=None
+    spec: RsmRunSpec, ctx: RunContext | None = None, workers_cap: int | None = None
 ) -> RsmRunResult:
     """Run one RSM service spec on a fresh simulated cluster.
 
-    Observation rides in ``ctx`` (a :class:`~repro.engine.RunContext`); the
-    ``tracer=``/``obs=`` keywords are the deprecated spelling and fold into
-    one.  Specs whose topology declares multiple groups — or whose workload
+    Observation rides in ``ctx`` (a :class:`~repro.engine.RunContext`).
+    Specs whose topology declares multiple groups — or whose workload
     includes cross-shard transactions — dispatch to
     :func:`repro.rsm.shard.run_sharded_rsm` and return its
     ``ShardedRsmRunResult`` instead.  With ``spec.parallel`` set, multi-group
@@ -112,8 +101,12 @@ def run_rsm(
     ``workers_cap`` limits the parallel path's worker processes (the sweep
     scheduler's CPU-budget share) without touching the spec or any
     deterministic output.
+
+    The single-group run is one :class:`~repro.rsm.group.ReplicaGroup` on a
+    fresh fabric: build, :func:`~repro.rsm.group.launch`, run to the
+    horizon, check.
     """
-    ctx = RunContext.resolve(ctx, tracer, obs)
+    ctx = ctx if ctx is not None else RunContext()
     if spec.is_sharded:
         if spec.parallel:
             from repro.rsm.parallel import run_parallel_sharded_rsm
@@ -122,257 +115,37 @@ def run_rsm(
         from repro.rsm.shard import run_sharded_rsm
 
         return run_sharded_rsm(spec, ctx=ctx)
-    tracer, obs = ctx.tracer, ctx.obs
-    info = get_protocol(spec.protocol, kind=ABCAST)
-    cluster = spec.cluster
-    pids = list(range(spec.n))
     for pid, _ in spec.crash_at:
-        if pid not in pids:
+        if pid not in range(spec.n):
             raise ConfigurationError(f"crash_at names unknown replica {pid}")
 
-    sim = Simulator(seed=spec.seed, batch=spec.batch)
-    network = Network(
-        sim,
-        delay=cluster.delay,
-        datagram_delay=cluster.datagram_delay,
-        datagram_loss=cluster.datagram_loss,
-        capacity=cluster.capacity,
-    )
-    oracle = OracleFailureDetector(
-        sim,
-        pids,
-        detection_delay=cluster.detection_delay,
-        initially_crashed=cluster.initially_crashed,
-    )
-    fabric = StorageFabric()
+    fabric = Fabric.fresh(spec, tracer=ctx.tracer, detail=ctx.detail)
+    group = ReplicaGroup(spec, fabric)
+    if ctx.obs is not None:
+        ctx.obs.install(fabric.sim, network=fabric.network, oracle=group.oracle)
+    launch([group], nemesis=spec.nemesis)
+    fabric.sim.run(until=spec.horizon, max_events=spec.max_events)
 
-    def make_serving(pid: int) -> RsmReplica:
-        return RsmReplica(
-            machine=KvStore(),
-            store=fabric.store(pid),
-            module_factory=lambda host, env, pid=pid: info.factory(
-                pid, env, oracle, host
-            ),
-            batch_max=spec.batch_max,
-            batch_delay=spec.batch_delay,
-            snapshot_every=spec.snapshot_every,
-            catchup_interval=spec.catchup_interval,
-            tracer=tracer,
-        )
-
-    obs_detail = obs is not None and obs.detail
-    replicas: dict[int, RsmReplica] = {}
-    nodes: dict[int, Node] = {}
-    for pid in pids:
-        replica = make_serving(pid)
-        if obs_detail:
-            replica.obs_detail = True
-        replicas[pid] = replica
-        nodes[pid] = Node(
-            sim, network, pid, pids, replica, service_time=cluster.service_time
-        )
-        # Crash-only oracle wiring: a replica that rejoins does so as a
-        # learner outside the broadcast protocol, so the failure detector
-        # must keep treating it as crashed (re-electing a recovered pid as
-        # Ω leader would stall consensus behind a non-participant).
-        nodes[pid].add_crash_listener(oracle.on_crash)
-
-    if obs is not None:
-        obs.install(sim, network=network, oracle=oracle)
-
-    for pid in cluster.initially_crashed:
-        nodes[pid].crash()
-    for pid, node in nodes.items():
-        if pid not in cluster.initially_crashed:
-            node.start()
-
-    # ------------------------------------------------------------ client side
-    serving = ServingSet(pid for pid in pids if pid not in cluster.initially_crashed)
-    serving_pids = serving.pids()
-    think = spec.clients / spec.rate
-    drivers: dict[int, SessionDriver] = {}
-    for session in range(spec.clients):
-        drivers[session] = SessionDriver(
-            session=session,
-            home=serving_pids[session % len(serving_pids)],
-            nodes=nodes,
-            replicas=replicas,
-            serving=serving,
-            stream=CommandStream(session, spec.seed, spec.keys),
-            duration=spec.duration,
-            mode=spec.workload,
-            arrivals=_build_arrivals(spec, session) if spec.workload == "open" else (),
-            think_time=think if spec.workload == "closed" else 0.0,
-            start_at=think * (session + 1) / spec.clients,
-            failover_delay=spec.failover_delay,
-        )
-
-    def route_commit(pid: int, request: Request, result: Any, at: float) -> None:
-        driver = drivers.get(request.session)
-        if driver is not None:
-            driver.on_commit(pid, request, result, at)
-
-    for replica in replicas.values():
-        replica.add_commit_listener(route_commit)
-
-    def on_mid_run_crash(pid: int) -> None:
-        serving.remove(pid)
-        for driver in drivers.values():
-            driver.on_replica_crash(pid, sim.now)
-
-    for node in nodes.values():
-        node.add_crash_listener(on_mid_run_crash)
-    for driver in drivers.values():
-        driver.start()
-
-    # --------------------------------------------------- faults and recovery
-    first_lives = dict(replicas)
-    learners: dict[int, RsmReplica] = {}
-    for pid, at in spec.crash_at:
-        nodes[pid].crash_at(at)
-        if spec.recover_after is not None:
-
-            def rebuild(pid: int = pid) -> RsmReplica:
-                learner = RsmReplica(
-                    machine=KvStore(),
-                    store=fabric.store(pid),
-                    module_factory=None,
-                    snapshot_every=spec.snapshot_every,
-                    catchup_interval=spec.catchup_interval,
-                    tracer=tracer,
-                )
-                if obs_detail:
-                    learner.obs_detail = True
-                learners[pid] = learner
-                replicas[pid] = learner
-                return learner
-
-            nodes[pid].recover_at(at + spec.recover_after, rebuild)
-
-    if spec.nemesis:
-        from repro.nemesis.inject import NemesisRuntime  # local: sits above us
-
-        def nemesis_recovery(pid: int, at: float) -> None:
-            # Nemesis crashes follow the same learner-rejoin path as
-            # spec.crash_at, guarded because a nemesis op may target a pid
-            # that is already down (or already recovering) at fire time.
-            if spec.recover_after is None:
-                return
-
-            def rebuild(pid: int = pid) -> RsmReplica:
-                learner = RsmReplica(
-                    machine=KvStore(),
-                    store=fabric.store(pid),
-                    module_factory=None,
-                    snapshot_every=spec.snapshot_every,
-                    catchup_interval=spec.catchup_interval,
-                    tracer=tracer,
-                )
-                if obs_detail:
-                    learner.obs_detail = True
-                learners[pid] = learner
-                replicas[pid] = learner
-                return learner
-
-            def recover_if_down(pid: int = pid) -> None:
-                if nodes[pid].crashed:
-                    nodes[pid].recover(rebuild())
-
-            sim.schedule_at(at + spec.recover_after, recover_if_down)
-
-        NemesisRuntime(
-            spec.nemesis,
-            sim=sim,
-            network=network,
-            nodes=nodes,
-            oracle=oracle,
-            tracer=tracer,
-            crash_hook=nemesis_recovery,
-        ).install()
-
-    sim.run(until=spec.horizon, max_events=spec.max_events)
-
-    # ------------------------------------------------------------ validation
-    crashed = sorted(
-        set(pid for pid, _ in spec.crash_at) | set(cluster.initially_crashed)
-    )
-    survivors = serving.pids()
+    outcome = group.check()
     try:
-        if not survivors:
-            raise TerminationFailure("no serving replica survived the run")
-        authority = min(
-            survivors, key=lambda pid: (-replicas[pid].applied_index, pid)
-        )
-        auth = replicas[authority]
-
-        linearizable = True
-        try:
-            check_rsm_linearizable(
-                [(entry.request.command, entry.result) for entry in auth.audit],
-                KvStore(),
-            )
-        except LinearizabilityViolation:
-            if spec.check:
-                raise
-            linearizable = False
-
+        if outcome.failure is not None:
+            raise outcome.failure
         if spec.check:
-            check_uniform_total_order(
-                {pid: replicas[pid].abcast.delivered_ids for pid in survivors}
-            )
-            audited = {
-                pid: [entry.request.rid for entry in replicas[pid].audit]
-                for pid in (*survivors, *learners)
-            }
-            check_rsm_exactly_once(audited)
-            check_rsm_session_order(audited)
-            check_rsm_log_consistent(
-                {
-                    pid: [
-                        (entry.index, entry.request.rid)
-                        for entry in replicas[pid].audit
-                    ]
-                    for pid in (*survivors, *learners)
-                }
-            )
-            for pid in survivors:
-                if replicas[pid].digest() != auth.digest():
-                    raise TerminationFailure(
-                        f"survivor {pid} diverged from replica {authority} at drain"
-                    )
-            for pid, learner in learners.items():
-                if learner.digest() != auth.digest():
-                    raise TerminationFailure(
-                        f"recovered replica {pid} did not converge by the horizon "
-                        f"(applied {learner.applied_index}/{auth.applied_index})"
-                    )
-            unacked = {
-                session: sorted(driver.pending)
-                for session, driver in drivers.items()
-                if driver.pending
-            }
-            if unacked:
-                raise TerminationFailure(
-                    f"requests never acknowledged within the horizon: {unacked}"
-                )
+            check_acknowledged(outcome.sessions)
     except ReproError as err:
-        if obs is not None:
-            obs.attach_failure(err)
-        raise
+        raise ctx.attach_failure(err)
 
     return RsmRunResult(
         spec=spec,
-        replicas=replicas,
-        first_lives=first_lives,
-        learners=learners,
-        drivers=drivers,
-        authority=authority,
-        crashed=crashed,
-        duration=sim.now,
-        network_stats=network.stats.snapshot(),
-        linearizable=linearizable,
-        sim=sim,
-        nodes=nodes,
+        replicas=group.replicas,
+        first_lives=group.first_lives,
+        learners=group.learners,
+        drivers=group.drivers,
+        outcome=outcome,
+        duration=fabric.sim.now,
+        network_stats=fabric.network.stats.snapshot(),
+        sim=fabric.sim,
+        nodes=group.nodes,
     )
 
 
@@ -387,15 +160,29 @@ def window_commit_latencies(result: RsmRunResult) -> tuple[int, list[float]]:
     spec = result.spec
     offered = 0
     latencies: list[float] = []
-    for driver in result.drivers.values():
-        for submit_at, ack_at in driver.latencies():
+    for stats in result.sessions.values():
+        for submit_at, ack_at in stats["latencies"]:
             if spec.warmup <= submit_at <= spec.duration:
                 offered += 1
                 latencies.append(ack_at - submit_at)
-        for record in driver.pending.values():
-            if spec.warmup <= record.submit_at <= spec.duration:
+        for submit_at in stats["pending"].values():
+            if spec.warmup <= submit_at <= spec.duration:
                 offered += 1
     return offered, latencies
+
+
+def latency_summary_ms(latencies: list[float]) -> dict | None:
+    """Mean and p50/p95/p99 of commit latencies in milliseconds (``None``
+    for an empty window) — the ``latency_ms`` field of both rsm sections."""
+    if not latencies:
+        return None
+    ordered = sorted(latencies)
+    return {
+        "mean": summarize(ordered).scaled(1e3).mean,
+        "p50": _percentile(ordered, 0.50) * 1e3,
+        "p95": _percentile(ordered, 0.95) * 1e3,
+        "p99": _percentile(ordered, 0.99) * 1e3,
+    }
 
 
 def service_metrics(result) -> dict:
@@ -411,17 +198,6 @@ def service_metrics(result) -> dict:
     auth = result.replicas[result.authority]
     offered, latencies = window_commit_latencies(result)
     window = spec.duration - spec.warmup
-
-    ordered = sorted(latencies)
-    if ordered:
-        latency_ms = {
-            "mean": summarize(ordered).scaled(1e3).mean,
-            "p50": _percentile(ordered, 0.50) * 1e3,
-            "p95": _percentile(ordered, 0.95) * 1e3,
-            "p99": _percentile(ordered, 0.99) * 1e3,
-        }
-    else:
-        latency_ms = None
 
     batch_sizes = auth.batch_sizes
     batches = {
@@ -465,7 +241,7 @@ def service_metrics(result) -> dict:
         "offered_window": offered,
         "committed_window": len(latencies),
         "ops_per_s": (len(latencies) / window) if window > 0 else 0.0,
-        "latency_ms": latency_ms,
+        "latency_ms": latency_summary_ms(latencies),
         "batches": batches,
         "apply_lag_ms": apply_lag_ms,
         "snapshots": {

@@ -11,8 +11,8 @@ inside one deterministic :class:`~repro.sim.kernel.Simulator`, sharing one
 * :class:`ShardRouter` maps keys to shards (``hash`` via CRC-32, or
   ``range`` banding) and hands each shard its key slice;
 * plain client sessions are *pinned* to a shard round-robin and draw keys
-  only from its slice (:class:`ShardKeyStream`), so per-shard exactly-once
-  dedup and session order carry over unchanged;
+  only from its slice (:class:`~repro.rsm.client.ShardKeyStream`), so
+  per-shard exactly-once dedup and session order carry over unchanged;
 * :class:`TxnDriver` sessions issue multi-key transactions spanning shards
   via two-phase commit whose every step (``txn-prepare`` / ``txn-decide`` /
   ``txn-commit`` / ``txn-abort``) is an ordinary replicated command — the
@@ -38,36 +38,27 @@ from zlib import crc32
 
 from repro.engine.context import RunContext
 from repro.engine.spec import PARTITIONERS, RsmRunSpec
-from repro.errors import (
-    ConfigurationError,
-    LinearizabilityViolation,
-    ReproError,
-    TerminationFailure,
+from repro.errors import ConfigurationError, ReproError, TerminationFailure
+from repro.harness.checkers import check_cross_shard_serializable
+from repro.rsm.client import ServingSet, _PendingRequest
+from repro.rsm.group import (
+    Fabric,
+    ReplicaGroup,
+    ShardOutcome,
+    check_acknowledged,
+    launch,
+    session_stats,
 )
-from repro.fd.oracle import OracleFailureDetector
-from repro.harness.checkers import (
-    check_cross_shard_serializable,
-    check_rsm_exactly_once,
-    check_rsm_linearizable,
-    check_rsm_log_consistent,
-    check_rsm_session_order,
-    check_uniform_total_order,
-)
-from repro.harness.registry import ABCAST, get_protocol
-from repro.rsm.client import CommandStream, ServingSet, SessionDriver, _PendingRequest
-from repro.rsm.machine import TxnCommand, TxnKvStore
+from repro.rsm.machine import TxnCommand
 from repro.rsm.replica import SUBMIT_TIMER, RsmReplica
-from repro.rsm.runner import _build_arrivals
+from repro.rsm.runner import latency_summary_ms, window_commit_latencies
 from repro.rsm.session import Request
-from repro.sim.kernel import Simulator, derive_seed
-from repro.sim.network import Network
+from repro.sim.kernel import derive_seed
 from repro.sim.node import Node
-from repro.sim.storage import StorageFabric
 from repro.sim.trace import KINDS
 
 __all__ = [
     "ShardRouter",
-    "ShardKeyStream",
     "TxnRecord",
     "TxnDriver",
     "ShardedRsmRunResult",
@@ -80,10 +71,10 @@ __all__ = [
 def shard_pid_groups(spec: RsmRunSpec) -> tuple[tuple[int, ...], ...]:
     """Global pid membership of each shard group, in shard order.
 
-    This is the partition assignment shared by the serial runner and the
-    conservative-parallel scheduler (:mod:`repro.rsm.parallel`): pids are
-    numbered ``shard * group_size .. (shard + 1) * group_size - 1``, so a
-    parallel run's traces carry exactly the serial runner's pids.
+    This is the assignment shared by the serial runner and the one-kernel-
+    per-shard parallel path (:mod:`repro.rsm.parallel`): pids are numbered
+    ``shard * group_size .. (shard + 1) * group_size - 1``, so a parallel
+    run's traces carry exactly the serial runner's pids.
     """
     gsize = spec.group_size
     return tuple(
@@ -131,23 +122,6 @@ class ShardRouter:
 
     def keys_for(self, shard: int) -> tuple[str, ...]:
         return self._slices[shard]
-
-
-class ShardKeyStream(CommandStream):
-    """Per-session command stream drawing keys from one shard's slice.
-
-    Same draw structure as the base stream (one rng call per key pick), so
-    session workloads stay seed-determined; only the key universe narrows.
-    """
-
-    def __init__(
-        self, session: int, seed: int, keys: int, slice_keys: tuple[str, ...]
-    ) -> None:
-        super().__init__(session, seed, keys)
-        self._slice = slice_keys
-
-    def _pick_key(self, rng: random.Random) -> str:
-        return self._slice[rng.randrange(len(self._slice))]
 
 
 @dataclass
@@ -379,33 +353,66 @@ class TxnDriver:
 
 @dataclass
 class ShardedRsmRunResult:
-    """Everything a finished sharded RSM run exposes to metrics and tests."""
+    """Everything a finished sharded RSM run exposes to metrics and tests.
+
+    ``outcomes`` — one checked :class:`~repro.rsm.group.ShardOutcome` per
+    shard, in shard order — is the plain data every metric is computed from,
+    identically whether the shards shared this process's kernel or each ran
+    on its own in a worker.  The live objects (``replicas`` … ``nodes``)
+    exist only for a one-kernel run; a parallel run leaves them empty,
+    carries summed kernel counters as ``sim`` and adds its ``parallel``
+    report section.
+    """
 
     spec: RsmRunSpec
     router: ShardRouter
-    replicas: dict[int, RsmReplica]          # final incarnation per global pid
-    first_lives: dict[int, RsmReplica]
-    learners: dict[int, RsmReplica]
-    drivers: dict[int, Any]                  # session -> SessionDriver | TxnDriver
-    txn_drivers: dict[int, TxnDriver]
-    authorities: dict[int, int]              # shard -> reference survivor pid
-    commit_orders: dict[int, list[tuple[str, tuple[str, ...]]]]
-    crashed: list[int]
+    outcomes: list[ShardOutcome]
     duration: float
     network_stats: dict
-    linearizable: bool
-    sim: Simulator = field(repr=False)
+    sim: Any = field(repr=False)
+    replicas: dict[int, RsmReplica] = field(default_factory=dict)  # final incarnations
+    first_lives: dict[int, RsmReplica] = field(default_factory=dict)
+    learners: dict[int, RsmReplica] = field(default_factory=dict)
+    drivers: dict[int, Any] = field(default_factory=dict)  # SessionDriver | TxnDriver
+    txn_drivers: dict[int, TxnDriver] = field(default_factory=dict)
     nodes: dict[int, Node] = field(repr=False, default_factory=dict)
+    parallel: dict | None = None
+    parallel_stats: dict | None = field(repr=False, default=None)
 
     @property
     def shards(self) -> int:
         return self.router.groups
 
     @property
+    def authorities(self) -> dict[int, int]:
+        """shard -> pid of its reference survivor."""
+        return {o.shard: o.authority for o in self.outcomes}
+
+    @property
+    def commit_orders(self) -> dict[int, list[tuple[str, tuple[str, ...]]]]:
+        return {o.shard: o.commit_order for o in self.outcomes}
+
+    @property
+    def crashed(self) -> list[int]:
+        return [pid for o in self.outcomes for pid in o.crashed]
+
+    @property
+    def linearizable(self) -> bool:
+        return all(o.linearizable for o in self.outcomes)
+
+    @property
+    def sessions(self) -> dict[int, dict]:
+        """session -> plain latency/pending/retry stats, in session order
+        (the shards' pinned sessions, then the 2PC sessions)."""
+        pinned = {s: stats for o in self.outcomes for s, stats in o.sessions.items()}
+        merged = {session: pinned[session] for session in sorted(pinned)}
+        for session, driver in self.txn_drivers.items():
+            merged[session] = session_stats(driver)
+        return merged
+
+    @property
     def committed(self) -> int:
-        return sum(
-            self.replicas[pid].applied_index for pid in self.authorities.values()
-        )
+        return sum(o.applied_index for o in self.outcomes)
 
     def shard_pids(self, shard: int) -> list[int]:
         gsize = self.spec.group_size
@@ -416,127 +423,40 @@ class ShardedRsmRunResult:
 
 
 def run_sharded_rsm(
-    spec: RsmRunSpec, tracer=None, obs=None, ctx: RunContext | None = None
+    spec: RsmRunSpec, ctx: RunContext | None = None
 ) -> ShardedRsmRunResult:
-    """Run one sharded RSM spec: all shard groups in one kernel, checked."""
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    tracer, obs = ctx.tracer, ctx.obs
-    info = get_protocol(spec.protocol, kind=ABCAST)
-    cluster = spec.cluster
-    groups = spec.topology.groups
-    gsize = spec.group_size
-    router = ShardRouter(groups, spec.keys, spec.topology.partitioner)
-    shard_pids = {s: list(g) for s, g in enumerate(shard_pid_groups(spec))}
+    """Run one sharded RSM spec: all shard groups in one kernel, checked.
 
-    sim = Simulator(seed=spec.seed, batch=spec.batch)
-    network = Network(
-        sim,
-        delay=cluster.delay,
-        datagram_delay=cluster.datagram_delay,
-        datagram_loss=cluster.datagram_loss,
-        capacity=cluster.capacity,
-    )
-    fabric = StorageFabric()
-    oracles = {
-        s: OracleFailureDetector(
-            sim,
-            shard_pids[s],
-            detection_delay=cluster.detection_delay,
-            initially_crashed=tuple(
-                pid for pid in cluster.initially_crashed if pid in shard_pids[s]
-            ),
-        )
-        for s in range(groups)
-    }
+    N :class:`~repro.rsm.group.ReplicaGroup` assemblies on one fabric, plus
+    what only a multi-group run has: the key router, the 2PC sessions and
+    the cross-shard serializability check.
+    """
+    ctx = ctx if ctx is not None else RunContext()
+    groups_n = spec.topology.groups
+    router = ShardRouter(groups_n, spec.keys, spec.topology.partitioner)
+    fabric = Fabric.fresh(spec, tracer=ctx.tracer, detail=ctx.detail)
+    groups = [
+        ReplicaGroup(spec, fabric, shard, router.keys_for(shard))
+        for shard in range(groups_n)
+    ]
+    if ctx.obs is not None:
+        ctx.obs.install(fabric.sim, network=fabric.network)
 
-    def make_serving(shard: int, pid: int) -> RsmReplica:
-        return RsmReplica(
-            machine=TxnKvStore(),
-            store=fabric.store(pid),
-            module_factory=lambda host, env, pid=pid, shard=shard: info.factory(
-                pid, env, oracles[shard], host
-            ),
-            batch_max=spec.batch_max,
-            batch_delay=spec.batch_delay,
-            snapshot_every=spec.snapshot_every,
-            catchup_interval=spec.catchup_interval,
-            tracer=tracer,
-        )
-
-    obs_detail = obs is not None and obs.detail
-    replicas: dict[int, RsmReplica] = {}
-    nodes: dict[int, Node] = {}
-    for shard in range(groups):
-        for pid in shard_pids[shard]:
-            replica = make_serving(shard, pid)
-            if obs_detail:
-                replica.obs_detail = True
-            replicas[pid] = replica
-            nodes[pid] = Node(
-                sim,
-                network,
-                pid,
-                shard_pids[shard],
-                replica,
-                service_time=cluster.service_time,
-            )
-            # Crash-only wiring, as in the single-group runner: a rejoined
-            # learner never re-enters its group's broadcast protocol.
-            nodes[pid].add_crash_listener(oracles[shard].on_crash)
-
-    if obs is not None:
-        obs.install(sim, network=network)
-
-    for pid in cluster.initially_crashed:
-        nodes[pid].crash()
-    for pid, node in nodes.items():
-        if pid not in cluster.initially_crashed:
-            node.start()
-
-    # ------------------------------------------------------------ client side
-    servings = {
-        s: ServingSet(
-            pid for pid in shard_pids[s] if pid not in cluster.initially_crashed
-        )
-        for s in range(groups)
-    }
-    think = spec.clients / spec.rate
-    drivers: dict[int, Any] = {}
-    for session in range(spec.clients):
-        shard = session % groups
-        serving_now = servings[shard].pids()
-        drivers[session] = SessionDriver(
-            session=session,
-            home=serving_now[(session // groups) % len(serving_now)],
-            nodes=nodes,
-            replicas=replicas,
-            serving=servings[shard],
-            stream=ShardKeyStream(
-                session, spec.seed, spec.keys, router.keys_for(shard)
-            ),
-            duration=spec.duration,
-            mode=spec.workload,
-            arrivals=(
-                _build_arrivals(spec, session) if spec.workload == "open" else ()
-            ),
-            think_time=think if spec.workload == "closed" else 0.0,
-            start_at=think * (session + 1) / spec.clients,
-            failover_delay=spec.failover_delay,
-        )
-
+    nodes = {pid: node for group in groups for pid, node in group.nodes.items()}
+    servings = {group.shard: group.serving for group in groups}
     txn_drivers: dict[int, TxnDriver] = {}
     if spec.txn_clients:
         txn_think = spec.txn_clients / spec.txn_rate
         for t in range(spec.txn_clients):
             session = spec.clients + t  # txn sessions own a disjoint id space
-            txn_drivers[session] = drivers[session] = TxnDriver(
+            txn_drivers[session] = TxnDriver(
                 session=session,
                 router=router,
                 nodes=nodes,
                 servings=servings,
                 homes={
-                    s: servings[s].pids()[t % len(servings[s].pids())]
-                    for s in range(groups)
+                    s: serving.pids()[t % len(serving.pids())]
+                    for s, serving in servings.items()
                 },
                 duration=spec.duration,
                 think_time=txn_think,
@@ -544,189 +464,31 @@ def run_sharded_rsm(
                 rng=random.Random(derive_seed(spec.seed, "rsm-txn", session)),
                 start_at=txn_think * (t + 1) / spec.txn_clients,
                 failover_delay=spec.failover_delay,
-                tracer=tracer,
+                tracer=ctx.tracer,
             )
+    drivers = launch(groups, nemesis=spec.nemesis, extra_drivers=txn_drivers)
+    fabric.sim.run(until=spec.horizon, max_events=spec.max_events)
 
-    def route_commit(pid: int, request: Request, result: Any, at: float) -> None:
-        driver = drivers.get(request.session)
-        if driver is not None:
-            driver.on_commit(pid, request, result, at)
-
-    for replica in replicas.values():
-        replica.add_commit_listener(route_commit)
-
-    def on_mid_run_crash(pid: int) -> None:
-        servings[pid // gsize].remove(pid)
-        for driver in drivers.values():
-            driver.on_replica_crash(pid, sim.now)
-
-    for node in nodes.values():
-        node.add_crash_listener(on_mid_run_crash)
-    for driver in drivers.values():
-        driver.start()
-
-    # --------------------------------------------------- faults and recovery
-    first_lives = dict(replicas)
-    learners: dict[int, RsmReplica] = {}
-    for pid, at in spec.crash_at:
-        nodes[pid].crash_at(at)
-        if spec.recover_after is not None:
-
-            def rebuild(pid: int = pid) -> RsmReplica:
-                learner = RsmReplica(
-                    machine=TxnKvStore(),
-                    store=fabric.store(pid),
-                    module_factory=None,
-                    snapshot_every=spec.snapshot_every,
-                    catchup_interval=spec.catchup_interval,
-                    tracer=tracer,
-                )
-                if obs_detail:
-                    learner.obs_detail = True
-                learners[pid] = learner
-                replicas[pid] = learner
-                return learner
-
-            nodes[pid].recover_at(at + spec.recover_after, rebuild)
-
-    if spec.nemesis:
-        from repro.nemesis.inject import NemesisRuntime  # local: sits above us
-
-        class _OracleRouter:
-            """Routes nemesis FD flaps to the victim's shard oracle."""
-
-            @staticmethod
-            def on_crash(pid: int) -> None:
-                oracles[pid // gsize].on_crash(pid)
-
-            @staticmethod
-            def on_recovery(pid: int) -> None:
-                oracles[pid // gsize].on_recovery(pid)
-
-        def nemesis_recovery(pid: int, at: float) -> None:
-            if spec.recover_after is None:
-                return
-
-            def rebuild(pid: int = pid) -> RsmReplica:
-                learner = RsmReplica(
-                    machine=TxnKvStore(),
-                    store=fabric.store(pid),
-                    module_factory=None,
-                    snapshot_every=spec.snapshot_every,
-                    catchup_interval=spec.catchup_interval,
-                    tracer=tracer,
-                )
-                if obs_detail:
-                    learner.obs_detail = True
-                learners[pid] = learner
-                replicas[pid] = learner
-                return learner
-
-            def recover_if_down(pid: int = pid) -> None:
-                if nodes[pid].crashed:
-                    nodes[pid].recover(rebuild())
-
-            sim.schedule_at(at + spec.recover_after, recover_if_down)
-
-        NemesisRuntime(
-            spec.nemesis,
-            sim=sim,
-            network=network,
-            nodes=nodes,
-            oracle=_OracleRouter,
-            tracer=tracer,
-            crash_hook=nemesis_recovery,
-        ).install()
-
-    sim.run(until=spec.horizon, max_events=spec.max_events)
-
-    # ------------------------------------------------------------ validation
-    crashed = sorted(
-        set(pid for pid, _ in spec.crash_at) | set(cluster.initially_crashed)
+    result = ShardedRsmRunResult(
+        spec=spec,
+        router=router,
+        outcomes=[group.check() for group in groups],
+        duration=fabric.sim.now,
+        network_stats=fabric.network.stats.snapshot(),
+        sim=fabric.sim,
+        replicas={p: r for group in groups for p, r in group.replicas.items()},
+        first_lives={p: r for group in groups for p, r in group.first_lives.items()},
+        learners={p: r for group in groups for p, r in group.learners.items()},
+        drivers=drivers,
+        txn_drivers=txn_drivers,
+        nodes=nodes,
     )
-    authorities: dict[int, int] = {}
-    commit_orders: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-    linearizable = True
     try:
-        for shard in range(groups):
-            survivors = servings[shard].pids()
-            if not survivors:
-                raise TerminationFailure(
-                    f"no serving replica of shard {shard} survived the run"
-                )
-            authority = min(
-                survivors, key=lambda pid: (-replicas[pid].applied_index, pid)
-            )
-            authorities[shard] = authority
-            auth = replicas[authority]
-
-            try:
-                check_rsm_linearizable(
-                    [(e.request.command, e.result) for e in auth.audit],
-                    TxnKvStore(),
-                )
-            except LinearizabilityViolation:
-                if spec.check:
-                    raise
-                linearizable = False
-
-            shard_learners = {
-                pid: learner
-                for pid, learner in learners.items()
-                if pid in shard_pids[shard]
-            }
-            if spec.check:
-                check_uniform_total_order(
-                    {pid: replicas[pid].abcast.delivered_ids for pid in survivors}
-                )
-                audited = {
-                    pid: [e.request.rid for e in replicas[pid].audit]
-                    for pid in (*survivors, *shard_learners)
-                }
-                check_rsm_exactly_once(audited)
-                check_rsm_session_order(audited)
-                check_rsm_log_consistent(
-                    {
-                        pid: [(e.index, e.request.rid) for e in replicas[pid].audit]
-                        for pid in (*survivors, *shard_learners)
-                    }
-                )
-                for pid in survivors:
-                    if replicas[pid].digest() != auth.digest():
-                        raise TerminationFailure(
-                            f"shard {shard}: survivor {pid} diverged from "
-                            f"replica {authority} at drain"
-                        )
-                for pid, learner in shard_learners.items():
-                    if learner.digest() != auth.digest():
-                        raise TerminationFailure(
-                            f"shard {shard}: recovered replica {pid} did not "
-                            f"converge by the horizon (applied "
-                            f"{learner.applied_index}/{auth.applied_index})"
-                        )
-                leftover = auth.machine.prepared_txids
-                if leftover:
-                    raise TerminationFailure(
-                        f"shard {shard} drained with prepared-but-undecided "
-                        f"transactions (locks leaked): {leftover}"
-                    )
-
-            # Per-shard commit order of transactions, with the keys each
-            # staged here (recovered from the same audit's prepare entries).
-            staged_keys: dict[str, tuple[str, ...]] = {}
-            order: list[tuple[str, tuple[str, ...]]] = []
-            for entry in auth.audit:
-                command = entry.request.command
-                if not isinstance(command, TxnCommand):
-                    continue
-                if command.op == "txn-prepare":
-                    staged_keys[command.txid] = command.keys
-                elif command.op == "txn-commit" and entry.result == "committed":
-                    order.append((command.txid, staged_keys.get(command.txid, ())))
-            commit_orders[shard] = order
-
+        for outcome in result.outcomes:
+            if outcome.failure is not None:
+                raise outcome.failure
         if spec.check:
-            check_cross_shard_serializable(commit_orders)
+            check_cross_shard_serializable(result.commit_orders)
             unfinished = {
                 session: [t.txid for t in driver.txns if t.end_at is None]
                 for session, driver in txn_drivers.items()
@@ -736,35 +498,10 @@ def run_sharded_rsm(
                 raise TerminationFailure(
                     f"transactions never completed within the horizon: {unfinished}"
                 )
-            unacked = {
-                session: sorted(driver.pending)
-                for session, driver in drivers.items()
-                if driver.pending
-            }
-            if unacked:
-                raise TerminationFailure(
-                    f"requests never acknowledged within the horizon: {unacked}"
-                )
+            check_acknowledged(result.sessions)
     except ReproError as err:
         raise ctx.attach_failure(err)
-
-    return ShardedRsmRunResult(
-        spec=spec,
-        router=router,
-        replicas=replicas,
-        first_lives=first_lives,
-        learners=learners,
-        drivers=drivers,
-        txn_drivers=txn_drivers,
-        authorities=authorities,
-        commit_orders=commit_orders,
-        crashed=crashed,
-        duration=sim.now,
-        network_stats=network.stats.snapshot(),
-        linearizable=linearizable,
-        sim=sim,
-        nodes=nodes,
-    )
+    return result
 
 
 def sharded_service_metrics(result: ShardedRsmRunResult) -> dict:
@@ -772,36 +509,23 @@ def sharded_service_metrics(result: ShardedRsmRunResult) -> dict:
 
     Mirrors the single-group section's aggregate fields (so plotting and the
     CLI read both shapes), then adds ``topology``, per-shard breakdowns and
-    the 2PC transaction counters.
+    the 2PC transaction counters.  Everything per-shard comes from
+    ``result.outcomes``, so serial and parallel runs share this one path.
     """
-    from repro.rsm.runner import window_commit_latencies
-    from repro.workload.metrics import _percentile, summarize
-
     spec = result.spec
+    outcomes = result.outcomes
     offered, latencies = window_commit_latencies(result)
     window = spec.duration - spec.warmup
 
-    ordered = sorted(latencies)
-    if ordered:
-        latency_ms = {
-            "mean": summarize(ordered).scaled(1e3).mean,
-            "p50": _percentile(ordered, 0.50) * 1e3,
-            "p95": _percentile(ordered, 0.95) * 1e3,
-            "p99": _percentile(ordered, 0.99) * 1e3,
-        }
-    else:
-        latency_ms = None
-
-    auths = {s: result.replicas[pid] for s, pid in result.authorities.items()}
     per_shard = {
-        str(s): {
-            "authority": result.authorities[s],
-            "committed": auth.applied_index,
-            "txns_committed": len(result.commit_orders.get(s, [])),
-            "digest": auth.digest(),
-            "crashed": [p for p in result.crashed if p in result.shard_pids(s)],
+        str(o.shard): {
+            "authority": o.authority,
+            "committed": o.applied_index,
+            "txns_committed": len(o.commit_order),
+            "digest": o.digest,
+            "crashed": o.crashed,
         }
-        for s, auth in auths.items()
+        for o in outcomes
     }
 
     txns = [t for d in result.txn_drivers.values() for t in d.txns]
@@ -815,20 +539,15 @@ def sharded_service_metrics(result: ShardedRsmRunResult) -> dict:
         ),
     }
 
-    snapshot_lives = list(result.first_lives.values()) + list(
-        result.learners.values()
-    )
     recovery = {
         str(pid): {
-            "installed_index": learner.recovered_from_index,
-            "replayed": learner.replayed,
-            "snapshot_installs": learner.snapshot_installs,
-            "digest_match": (
-                learner.digest()
-                == auths[pid // spec.group_size].digest()
-            ),
+            "installed_index": learner["installed_index"],
+            "replayed": learner["replayed"],
+            "snapshot_installs": learner["snapshot_installs"],
+            "digest_match": learner["digest"] == o.digest,
         }
-        for pid, learner in result.learners.items()
+        for o in outcomes
+        for pid, learner in o.learner_stats.items()
     }
 
     section = {
@@ -836,27 +555,25 @@ def sharded_service_metrics(result: ShardedRsmRunResult) -> dict:
         "offered_window": offered,
         "committed_window": len(latencies),
         "ops_per_s": (len(latencies) / window) if window > 0 else 0.0,
-        "latency_ms": latency_ms,
+        "latency_ms": latency_summary_ms(latencies),
         "topology": spec.topology.to_dict(),
         "shards": per_shard,
         "txns": txn_section,
         "dedup": {
-            "suppressed": sum(a.dedup.suppressed for a in auths.values()),
-            "retries": sum(d.retries for d in result.drivers.values()),
+            "suppressed": sum(o.dedup_suppressed for o in outcomes),
+            "retries": sum(s["retries"] for s in result.sessions.values()),
         },
         "snapshots": {
-            "taken": sum(r.snapshots_taken for r in snapshot_lives),
-            "bytes": sum(r.snapshot_bytes for r in snapshot_lives),
+            "taken": sum(o.snapshots_taken for o in outcomes),
+            "bytes": sum(o.snapshot_bytes for o in outcomes),
         },
         "sessions": spec.clients,
-        "crashed": list(result.crashed),
+        "crashed": result.crashed,
         "recovery": recovery,
         "linearizable": result.linearizable,
     }
-    # Conservative-parallel runs carry the scheduler's deterministic summary
-    # (partitions, windows, null messages, ideal-speedup bound) into the
-    # report so `repro obs` distillations can gate on it.
-    parallel = getattr(result, "parallel", None)
-    if parallel:
-        section["parallel"] = parallel
+    # A parallel run adds its deterministic summary (partitions, requested
+    # workers, per-partition event balance).
+    if result.parallel:
+        section["parallel"] = result.parallel
     return section

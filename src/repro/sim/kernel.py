@@ -208,17 +208,6 @@ class Simulator:
         return self._events_processed
 
     @property
-    def stopped(self) -> bool:
-        """True when the last :meth:`run` ended via :meth:`stop`.
-
-        Cleared on the next :meth:`run` call.  The conservative parallel
-        scheduler (:mod:`repro.sim.parallel`) reads this between windows: a
-        partition that stopped mid-window ends the whole run at that
-        window's boundary instead of being silently re-driven.
-        """
-        return self._stopped
-
-    @property
     def events_scheduled(self) -> int:
         """Number of events ever scheduled (diagnostics)."""
         return self._seq

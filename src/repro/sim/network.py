@@ -93,17 +93,6 @@ class DelayModel(Protocol):
     def mean(self) -> float:  # pragma: no cover - protocol signature
         ...
 
-    def min_delay(self) -> float:  # pragma: no cover - protocol signature
-        """Provable lower bound on any sampled delay, in seconds.
-
-        The conservative parallel scheduler (:mod:`repro.sim.parallel`) uses
-        this as its lookahead: a partition at simulated time ``t`` cannot
-        receive a cross-partition message earlier than ``t + min_delay()``.
-        A model whose support extends to 0 must return ``0.0`` — the
-        scheduler then refuses to run rather than deadlock on zero lookahead.
-        """
-        ...
-
 
 @dataclass(frozen=True)
 class ConstantDelay:
@@ -123,9 +112,6 @@ class ConstantDelay:
         return [self.delay] * n
 
     def mean(self) -> float:
-        return self.delay
-
-    def min_delay(self) -> float:
         return self.delay
 
 
@@ -151,9 +137,6 @@ class UniformDelay:
 
     def mean(self) -> float:
         return (self.low + self.high) / 2
-
-    def min_delay(self) -> float:
-        return self.low
 
 
 @dataclass(frozen=True)
@@ -182,10 +165,6 @@ class ExponentialDelay:
 
     def mean(self) -> float:
         return self.base + self.mean_extra
-
-    def min_delay(self) -> float:
-        # The exponential tail's infimum is 0, so the floor is the base.
-        return self.base
 
 
 @dataclass(frozen=True)
@@ -244,10 +223,6 @@ class LogNormalDelay:
     def mean(self) -> float:
         return self.mean_delay
 
-    def min_delay(self) -> float:
-        # A log-normal's support is (0, inf): no positive lower bound.
-        return 0.0 if self.sigma > 0 else self.mean_delay
-
 
 @dataclass(frozen=True)
 class LanDelay:
@@ -304,10 +279,6 @@ class LanDelay:
 
     def mean(self) -> float:
         return self.base + self.jitter_mean
-
-    def min_delay(self) -> float:
-        # The log-normal jitter's infimum is 0; the wire base remains.
-        return self.base
 
 
 @dataclass(slots=True)
@@ -748,13 +719,6 @@ class Network:
         # Set by the obs runtime for detailed tracing (msg-send/msg-deliver
         # records); None keeps the hot path free of tracing work.
         self.obs_tracer = None
-        # Partition-boundary hook (see repro.sim.parallel): when a send
-        # targets a pid with no registered node, the callable — signature
-        # ``(src, dst, payload, channel) -> None`` — takes the message
-        # instead of the unknown-destination error.  The conservative
-        # parallel runtime installs it to ship cross-partition messages to
-        # the partition that owns ``dst``; it is None on ordinary networks.
-        self.boundary = None
 
     # ------------------------------------------------------------- membership
 
@@ -857,9 +821,6 @@ class Network:
         """
         node = self._nodes.get(dst)
         if node is None:
-            if self.boundary is not None:
-                self.boundary(src, dst, payload, channel)
-                return
             raise ConfigurationError(f"unknown destination pid {dst}")
         sim = self.sim
         stats = self.stats
@@ -1079,11 +1040,10 @@ class Network:
             for dst in dsts:
                 fn = deliver_fast.get(dst)
                 if fn is None:
-                    if dst not in self._nodes and self.boundary is None:
+                    if dst not in self._nodes:
                         raise ConfigurationError(f"unknown destination pid {dst}")
-                    # Duck-typed receiver without deliver_from (or a
-                    # partition-boundary destination): sequential sends keep
-                    # its envelope-only contract intact.
+                    # Duck-typed receiver without deliver_from: sequential
+                    # sends keep its envelope-only contract intact.
                     send = self.send
                     for d in dsts:
                         send(src, d, payload, channel)

@@ -1,118 +1,40 @@
-"""Conservative parallel discrete-event simulation: partitioned kernels.
+"""One kernel per partition: an ordered map over worker processes.
 
-A single :class:`~repro.sim.kernel.Simulator` dispatches events on one
-core.  This module runs a simulation as *partitions* — disjoint pid groups,
-each with its own kernel (and its own per-purpose RNG streams, derived
-stably from the partition id) — in worker processes, synchronised with the
-classic conservative (Chandy–Misra / bounded-lag) discipline:
+A simulation whose partitions — disjoint pid groups — provably never
+exchange a message needs no synchronisation: each partition is built on its
+own :class:`~repro.sim.kernel.Simulator`, run straight to the horizon and
+distilled into a picklable outcome, and that outcome is the only thing that
+crosses back.  :func:`run_partitions` is that map.  What a partition
+computes depends on its index and payload, never on where it ran, so
+``workers=1`` (in-process) and ``workers=N`` return identical outcomes.
 
-* **Lookahead.**  A message crossing a partition boundary takes at least
-  ``lookahead`` seconds — the provable floor of the cross-partition delay
-  model, exposed by :meth:`DelayModel.min_delay`.  A partition at time ``t``
-  therefore cannot be affected by any neighbour event after ``t``, until
-  ``t + lookahead``.
-* **Windows.**  Execution proceeds in global windows of that width: every
-  partition runs to the window end, reports its outbound cross-partition
-  messages (an empty report is the null message that still advances its
-  neighbours' clock bound), the parent routes them, and the next window
-  starts.  A message sent inside window ``[t, t+L)`` arrives strictly after
-  ``t+L``, so routing at the barrier never delivers into a partition's past.
-* **Determinism.**  Inbound messages are injected in ``(time, seq, src)``
-  order — a total order, since ``(src, seq)`` is unique — so the receiving
-  kernel schedules them identically no matter which worker produced them
-  first.  Partition seeds and windows depend only on the plan, never on the
-  worker count, so ``workers=1`` (in-process) and ``workers=N`` produce
-  byte-identical traces.
-
-Plans whose partitions never exchange messages (``lookahead=None``, e.g. a
-sharded RSM with no cross-shard sessions) run a single window to the
-horizon.  Models without a positive delay floor are rejected up front
-(:func:`required_lookahead`) instead of deadlocking the scheduler at zero
-lookahead.
+Workers come from the platform's default multiprocessing context, like the
+sweep pool's (:mod:`repro.engine.pool`): on Linux they are forked, and
+skipping the quarter-second re-import of the library is what lets a
+sub-second run pay.  Tasks and payloads are pickled by reference and value,
+so every start method works.
 """
 
 from __future__ import annotations
 
-import traceback
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Any, Callable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerError
 
-__all__ = [
-    "CrossMessage",
-    "ParallelStats",
-    "PartitionHarness",
-    "PartitionPlan",
-    "required_lookahead",
-    "run_partitions",
-]
-
-
-@dataclass(frozen=True)
-class CrossMessage:
-    """One message crossing a partition boundary.
-
-    ``time`` is the *arrival* time at the destination (the sender samples
-    the delay from its own streams, so the value is seed-determined);
-    ``seq`` is the sender's cross-send sequence number and ``src`` the
-    sending partition — ``(time, seq, src)`` is the deterministic injection
-    order, total because ``(src, seq)`` never repeats.
-    """
-
-    time: float
-    seq: int
-    src: int
-    dst: int
-    src_pid: int
-    dst_pid: int
-    payload: Any
-    channel: str
-
-    @property
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.seq, self.src)
-
-
-def required_lookahead(model: Any) -> float:
-    """The provable cross-partition delay floor of ``model``, validated.
-
-    Raises :class:`ConfigurationError` for models without a
-    :meth:`~repro.sim.network.DelayModel.min_delay` or whose floor is zero
-    (or negative): a conservative scheduler's window width is the lookahead,
-    and zero lookahead means zero-width windows — a deadlock, not a run.
-    """
-    probe = getattr(model, "min_delay", None)
-    if probe is None:
-        raise ConfigurationError(
-            f"{type(model).__name__} does not expose min_delay(); conservative "
-            "parallel execution needs a provable cross-partition delay floor"
-        )
-    floor = probe()
-    if floor <= 0.0:
-        raise ConfigurationError(
-            f"{type(model).__name__} has a zero/unbounded-below delay floor "
-            f"(min_delay() == {floor!r}): conservative lookahead would be 0 "
-            "and the parallel scheduler would deadlock — give cross-partition "
-            "links a delay model with a positive minimum"
-        )
-    return floor
+__all__ = ["PartitionPlan", "run_partitions"]
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """How a simulation splits into partitions.
+    """How a simulation splits into independent partitions.
 
-    ``groups[i]`` is the pid membership of partition ``i``; ``lookahead`` is
-    the conservative window width (``None`` when the partitions provably
-    never exchange messages, which collapses execution to one window).  The
-    plan is pure data derived from the spec — never from the worker count —
-    which is what makes parallel runs byte-identical across worker counts.
+    ``groups[i]`` is the pid membership of partition ``i``.  The plan is pure
+    data derived from the spec — never from the worker count — which is what
+    makes parallel runs byte-identical across worker counts.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    lookahead: float | None = None
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -127,11 +49,6 @@ class PartitionPlan:
                     f"pids {sorted(overlap)} appear in more than one partition"
                 )
             seen.update(group)
-        if self.lookahead is not None and self.lookahead <= 0.0:
-            raise ConfigurationError(
-                f"lookahead must be positive, got {self.lookahead!r} "
-                "(zero lookahead deadlocks a conservative scheduler)"
-            )
 
     @property
     def partitions(self) -> int:
@@ -143,168 +60,21 @@ class PartitionPlan:
                 return index
         raise ConfigurationError(f"pid {pid} is in no partition")
 
-    def window_ends(self, horizon: float) -> list[float]:
-        """Window-end times up to (and always including) ``horizon``."""
-        if self.lookahead is None or self.partitions == 1:
-            return [horizon]
-        ends: list[float] = []
-        t = self.lookahead
-        while t < horizon:
-            ends.append(t)
-            t += self.lookahead
-        ends.append(horizon)
-        return ends
-
-
-class PartitionHarness(Protocol):
-    """What one partition looks like to the conservative scheduler.
-
-    Implementations own a :class:`~repro.sim.kernel.Simulator` (plus
-    whatever model sits on it) for one partition and are built *inside* the
-    worker process by the picklable ``build`` callable given to
-    :func:`run_partitions`.
-    """
-
-    def inject(self, messages: Sequence[CrossMessage]) -> None:
-        """Schedule inbound cross-partition arrivals (already sorted)."""
-        ...
-
-    def advance(self, until: float) -> list[CrossMessage]:
-        """Run the partition kernel to ``until``; return outbound messages."""
-        ...
-
-    def pending(self) -> bool:
-        """True when events remain queued past the last window bound."""
-        ...
-
-    def stopped(self) -> bool:
-        """True when the partition's kernel stopped mid-window."""
-        ...
-
-    def finish(self) -> Any:
-        """Tear down and return the partition's picklable outcome."""
-        ...
-
-
-@dataclass
-class ParallelStats:
-    """Counters of one conservative-parallel execution.
-
-    Everything except ``blocked_time`` (wall-clock seconds the parent spent
-    waiting on stragglers after the first worker finished each window) is
-    deterministic: a function of the plan and the seed, identical across
-    worker counts.
-    """
-
-    partitions: int
-    workers: int
-    lookahead: float | None
-    windows: int = 0
-    null_messages: int = 0
-    cross_messages: int = 0
-    lookahead_stalls: int = 0
-    blocked_time: float = 0.0
-    events_by_partition: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "partitions": self.partitions,
-            "workers": self.workers,
-            "lookahead": self.lookahead,
-            "windows": self.windows,
-            "null_messages": self.null_messages,
-            "cross_messages": self.cross_messages,
-            "lookahead_stalls": self.lookahead_stalls,
-            "blocked_time": self.blocked_time,
-            "events_by_partition": list(self.events_by_partition),
-        }
-
-
-# --------------------------------------------------------------- worker side
-
-
-def _worker_main(conn, build, assigned) -> None:
-    """Worker process loop: build the assigned partitions, serve windows."""
-    try:
-        harnesses = {
-            partition: build(partition, payload) for partition, payload in assigned
-        }
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        conn.close()
-        return
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        op = message[0]
-        try:
-            if op == "advance":
-                _, until, inbound = message
-                replies = {}
-                for partition in sorted(harnesses):
-                    harness = harnesses[partition]
-                    batch = inbound.get(partition)
-                    if batch:
-                        harness.inject(batch)
-                    out = harness.advance(until)
-                    replies[partition] = (out, harness.pending(), harness.stopped())
-                conn.send(("ok", replies))
-            elif op == "finish":
-                conn.send(
-                    ("ok", {p: harnesses[p].finish() for p in sorted(harnesses)})
-                )
-                break
-            else:  # pragma: no cover - protocol misuse
-                conn.send(("err", f"unknown op {op!r}"))
-                break
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-            break
-    conn.close()
-
-
-# --------------------------------------------------------------- parent side
-
-
-def _route(
-    plan: PartitionPlan,
-    outbound: dict[int, list[CrossMessage]],
-    inboxes: dict[int, list[CrossMessage]],
-    stats: ParallelStats,
-) -> None:
-    """Fold each partition's window report into the next window's inboxes."""
-    for partition in sorted(outbound):
-        messages = outbound[partition]
-        if not messages:
-            stats.null_messages += 1
-            continue
-        stats.cross_messages += len(messages)
-        for msg in messages:
-            if msg.dst == partition:
-                raise ConfigurationError(
-                    f"partition {partition} routed a message to itself "
-                    f"(pid {msg.dst_pid} is local; boundary misconfigured)"
-                )
-            inboxes.setdefault(msg.dst, []).append(msg)
-
 
 def run_partitions(
-    build: Callable[[int, Any], PartitionHarness],
+    task: Callable[[int, Any], Any],
     payloads: Sequence[Any],
     plan: PartitionPlan,
-    horizon: float,
     workers: int = 1,
-) -> tuple[list[Any], ParallelStats]:
-    """Run every partition of ``plan`` to ``horizon``; return their outcomes.
+) -> list[Any]:
+    """``[task(i, payloads[i]) for i in range(plan.partitions)]``, fanned
+    over up to ``workers`` processes; outcomes come back in partition order.
 
-    ``build(partition_index, payloads[partition_index])`` must be a
-    *picklable* (module-level) callable returning a
-    :class:`PartitionHarness`; with ``workers > 1`` it runs inside worker
-    processes.  Outcomes come back in partition order.  The result is
-    byte-identical for every ``workers`` value: the worker count only
-    decides where partitions execute, never what they compute.
+    ``task`` must be a module-level callable; an exception it raises
+    propagates unchanged, lowest partition first, as on the in-process path.
+    A worker process that *dies* raises :class:`~repro.errors.WorkerError`
+    naming every partition whose outcome was lost with it — never a hang or
+    a partial result — after the remaining workers have been reaped.
     """
     if len(payloads) != plan.partitions:
         raise ConfigurationError(
@@ -312,137 +82,29 @@ def run_partitions(
         )
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if horizon <= 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon!r}")
     workers = min(workers, plan.partitions)
-    stats = ParallelStats(
-        partitions=plan.partitions, workers=workers, lookahead=plan.lookahead
-    )
-    window_ends = plan.window_ends(horizon)
     if workers == 1:
-        outcomes = _run_in_process(build, payloads, plan, window_ends, stats)
-    else:
-        outcomes = _run_multiprocess(
-            build, payloads, plan, window_ends, workers, stats
-        )
-    return outcomes, stats
+        return [task(index, payload) for index, payload in enumerate(payloads)]
 
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-def _run_in_process(build, payloads, plan, window_ends, stats) -> list[Any]:
-    """The ``workers=1`` path: same windows, same routing, no processes."""
-    harnesses = [
-        build(partition, payloads[partition])
-        for partition in range(plan.partitions)
-    ]
-    inboxes: dict[int, list[CrossMessage]] = {}
-    final = window_ends[-1]
-    halted = False
-    for until in window_ends:
-        stats.windows += 1
-        outbound: dict[int, list[CrossMessage]] = {}
-        for partition, harness in enumerate(harnesses):
-            batch = inboxes.pop(partition, None)
-            if batch:
-                batch.sort(key=lambda m: m.sort_key)
-                harness.inject(batch)
-            outbound[partition] = harness.advance(until)
-            if until < final and harness.pending():
-                stats.lookahead_stalls += 1
-            if harness.stopped():
-                halted = True
-        _route(plan, outbound, inboxes, stats)
-        if halted:
-            break
-    outcomes = [harness.finish() for harness in harnesses]
-    stats.events_by_partition = [
-        outcome.events_processed if hasattr(outcome, "events_processed") else 0
-        for outcome in outcomes
-    ]
-    return outcomes
-
-
-def _run_multiprocess(build, payloads, plan, window_ends, workers, stats):
-    """Fan partitions over worker processes, one barrier per window."""
-    import multiprocessing as mp
-
-    assignment = {
-        w: [
-            (partition, payloads[partition])
-            for partition in range(plan.partitions)
-            if partition % workers == w
-        ]
-        for w in range(workers)
-    }
-    procs: list[mp.Process] = []
-    pipes = {}
+    pool = ProcessPoolExecutor(max_workers=workers)
+    futures: list = []
     try:
-        for w in range(workers):
-            parent_end, child_end = mp.Pipe()
-            proc = mp.Process(
-                target=_worker_main,
-                args=(child_end, build, assignment[w]),
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()
-            pipes[w] = parent_end
-            procs.append(proc)
-
-        inboxes: dict[int, list[CrossMessage]] = {}
-        final = window_ends[-1]
-        halted = False
-        for until in window_ends:
-            stats.windows += 1
-            for w in range(workers):
-                batch = {}
-                for partition, _ in assignment[w]:
-                    msgs = inboxes.pop(partition, None)
-                    if msgs:
-                        msgs.sort(key=lambda m: m.sort_key)
-                        batch[partition] = msgs
-                pipes[w].send(("advance", until, batch))
-            outbound: dict[int, list[CrossMessage]] = {}
-            first_done: float | None = None
-            for w in range(workers):
-                status, payload = pipes[w].recv()
-                now = perf_counter()
-                if first_done is None:
-                    first_done = now
-                if status != "ok":
-                    raise ConfigurationError(
-                        f"parallel worker {w} failed:\n{payload}"
-                    )
-                for partition, (out, pending, was_stopped) in payload.items():
-                    outbound[partition] = out
-                    if until < final and pending:
-                        stats.lookahead_stalls += 1
-                    if was_stopped:
-                        halted = True
-            if first_done is not None:
-                stats.blocked_time += perf_counter() - first_done
-            _route(plan, outbound, inboxes, stats)
-            if halted:
-                break
-
-        outcomes: list[Any] = [None] * plan.partitions
-        for w in range(workers):
-            pipes[w].send(("finish",))
-        for w in range(workers):
-            status, payload = pipes[w].recv()
-            if status != "ok":
-                raise ConfigurationError(f"parallel worker {w} failed:\n{payload}")
-            for partition, outcome in payload.items():
-                outcomes[partition] = outcome
-        stats.events_by_partition = [
-            outcome.events_processed if hasattr(outcome, "events_processed") else 0
-            for outcome in outcomes
-        ]
-        return outcomes
+        for index, payload in enumerate(payloads):
+            futures.append(pool.submit(task, index, payload))
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        lost = tuple(
+            index
+            for index in range(plan.partitions)
+            if index >= len(futures) or futures[index].exception() is not None
+        )
+        raise WorkerError(
+            f"a parallel worker process died; partition(s) {list(lost)} were "
+            "running or queued and have no outcome (no partial result is kept)",
+            partitions=lost,
+        ) from None
     finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for proc in procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5.0)
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -1,36 +1,39 @@
-"""Conservative-parallel simulation: partitioned kernels with lookahead.
+"""Parallel execution of sharded runs: one kernel per shard, mapped.
 
-The parallel executor (:mod:`repro.sim.parallel` + :mod:`repro.rsm.parallel`)
+The parallel path (:mod:`repro.sim.parallel` + :mod:`repro.rsm.parallel`)
 is only admissible because it is a pure *execution strategy*: same spec,
 same seed ⇒ the same merged trace and the same report regardless of the
 worker-process count.  These tests pin that contract down layer by layer:
 
-* ``DelayModel.min_delay()`` — the provable delay floor every lookahead
-  computation rests on — for all five models, and the
-  :class:`ConfigurationError` when the floor is zero/unbounded below;
-* :class:`PartitionPlan` validation and lookahead window arithmetic;
-* the substrate (:func:`run_partitions`) with toy harnesses: conservative
-  window barriers, deterministic ``(time, seq, src)`` message ordering,
-  null-message accounting, stop propagation, and in-process vs
-  multiprocess equivalence;
+* :class:`PartitionPlan` validation;
+* the substrate (:func:`run_partitions`): an ordered map whose outcomes do
+  not depend on the worker count, payload/worker-count validation, and a
+  typed :class:`WorkerError` — never a hang or a partial result — when a
+  worker process dies;
 * spec surface: ``parallel``/``workers`` validation, serialization only
   when set, single-group graceful fallback, obs-mode restrictions;
 * per-shard nemesis filtering (point ops, link ops, partitions);
-* the sweep scheduler's shared CPU budget (``jobs × workers`` clamp);
-* report/warehouse plumbing: the deterministic ``rsm["parallel"]`` section
-  and the ``parallel_speedup`` distillation with its reversed-direction
-  regression gate.
+* the RSM path: merged outcomes, the deterministic ``rsm["parallel"]``
+  section, and sha256 pins of the merged trace and report taken from the
+  pre-refactor engine (commit 5fd8236) for workers 1/2/4, passing and
+  failing runs alike;
+* the group-assembly seam: one :class:`ReplicaGroup` built on a caller's
+  kernel yields the same trace bytes as ``run_rsm``;
+* the sweep scheduler's shared CPU budget (``jobs × workers`` clamp).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.engine.context import RunContext
 from repro.engine.spec import NemesisSpec, RsmRunSpec, TopologySpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError, WorkerError
 from repro.nemesis.spec import (
     CpuSkewOp,
     CrashOp,
@@ -41,27 +44,16 @@ from repro.nemesis.spec import (
     PartitionOp,
 )
 from repro.rsm.parallel import (
+    _run_shard,
     filter_nemesis_for_shard,
     run_parallel_sharded_rsm,
     shard_partition_plan,
 )
 from repro.rsm.runner import run_rsm
 from repro.rsm.shard import shard_pid_groups
-from repro.sim.network import (
-    ConstantDelay,
-    ExponentialDelay,
-    LanDelay,
-    LogNormalDelay,
-    UniformDelay,
-)
-from repro.sim.parallel import (
-    CrossMessage,
-    ParallelStats,
-    PartitionPlan,
-    required_lookahead,
-    run_partitions,
-)
+from repro.sim.parallel import PartitionPlan, run_partitions
 from repro.sim.trace import Tracer
+from tests.test_determinism import _parallel_rsm_spec
 
 
 def trace_bytes(tracer: Tracer) -> bytes:
@@ -71,49 +63,7 @@ def trace_bytes(tracer: Tracer) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# Satellite: DelayModel.min_delay() — the provable lookahead floor.
-
-
-class TestMinDelay:
-    def test_constant(self):
-        assert ConstantDelay(0.25).min_delay() == 0.25
-
-    def test_uniform_floor_is_low(self):
-        assert UniformDelay(0.01, 0.05).min_delay() == 0.01
-
-    def test_exponential_floor_is_base(self):
-        assert ExponentialDelay(0.003, 0.02).min_delay() == 0.003
-
-    def test_lognormal_floor_is_zero(self):
-        # exp(mu + sigma·Z) > 0 has no positive lower bound when sigma > 0.
-        assert LogNormalDelay(0.01, 0.5).min_delay() == 0.0
-
-    def test_lognormal_degenerate_sigma(self):
-        assert LogNormalDelay(0.01, 0.0).min_delay() == 0.01
-
-    def test_lan_floor_is_base(self):
-        model = LanDelay()
-        assert model.min_delay() == model.base
-        assert model.min_delay() > 0.0
-
-    def test_required_lookahead_positive_floor(self):
-        assert required_lookahead(ConstantDelay(0.1)) == 0.1
-
-    def test_required_lookahead_rejects_zero_floor(self):
-        with pytest.raises(ConfigurationError, match="zero/unbounded-below"):
-            required_lookahead(LogNormalDelay(0.01, 0.5))
-
-    def test_required_lookahead_rejects_floorless_model(self):
-        class NoFloor:
-            def sample(self, rng, src, dst):  # pragma: no cover - shape only
-                return 0.1
-
-        with pytest.raises(ConfigurationError, match="min_delay"):
-            required_lookahead(NoFloor())
-
-
-# --------------------------------------------------------------------------
-# PartitionPlan: validation + window arithmetic.
+# PartitionPlan: validation.
 
 
 class TestPartitionPlan:
@@ -133,191 +83,83 @@ class TestPartitionPlan:
         with pytest.raises(ConfigurationError, match="more than one partition"):
             PartitionPlan(groups=((0, 1), (1, 2)))
 
-    def test_rejects_nonpositive_lookahead(self):
-        with pytest.raises(ConfigurationError):
-            PartitionPlan(groups=((0,), (1,)), lookahead=0.0)
-
-    def test_window_ends_stepped_by_lookahead(self):
-        plan = PartitionPlan(groups=((0,), (1,)), lookahead=0.5)
-        assert plan.window_ends(2.0) == [0.5, 1.0, 1.5, 2.0]
-        # A horizon off the lookahead grid still ends exactly at the horizon.
-        assert plan.window_ends(1.2) == [0.5, 1.0, 1.2]
-
-    def test_window_ends_single_window_without_lookahead(self):
-        plan = PartitionPlan(groups=((0,), (1,)))
-        assert plan.window_ends(3.0) == [3.0]
-
-    def test_window_ends_single_partition_needs_no_barriers(self):
-        plan = PartitionPlan(groups=((0, 1),), lookahead=0.5)
-        assert plan.window_ends(3.0) == [3.0]
-
 
 # --------------------------------------------------------------------------
-# Substrate: conservative synchronization over toy harnesses.
+# Substrate: an ordered map over worker processes.
 
 
-class PingPong:
-    """Toy partition: one event per second, each sending a cross message
-    that arrives ``lookahead`` later in the peer partition."""
+def _square(partition, payload):
+    """Toy task: a pure function of (partition, payload), plus where it ran."""
+    return partition, payload * payload, os.getpid()
 
-    def __init__(self, me: int, other: int, horizon: float) -> None:
-        self.me, self.other = me, other
-        self.horizon = horizon
-        self.next_event = 1.0
-        self.seq = 0
-        self.log: list[tuple] = []
-        self.events_processed = 0
 
-    def inject(self, messages):
-        for m in messages:
-            self.log.append(("recv", round(m.time, 6), m.payload))
+def _die_in_partition_one(partition, payload):
+    if partition == 1:
+        os._exit(3)  # the worker process dies mid-task, no cleanup, no reply
+    return partition
 
-    def advance(self, until):
-        out = []
-        while self.next_event <= until:
-            t = self.next_event
-            self.seq += 1
-            self.events_processed += 1
-            out.append(
-                CrossMessage(
-                    time=t + 0.5,
-                    seq=self.seq,
-                    src=self.me,
-                    dst=self.other,
-                    src_pid=self.me,
-                    dst_pid=self.other,
-                    payload=f"p{self.me}@{t}",
-                    channel="msg",
-                )
-            )
-            self.next_event += 1.0
-        return out
 
-    def pending(self):
-        return self.next_event <= self.horizon
+def _raise_in_partition_two(partition, payload):
+    if partition == 2:
+        raise ConfigurationError(f"bad payload for partition {partition}")
+    return partition
 
-    def stopped(self):
-        return False
 
-    def finish(self):
-        return self.log
+@pytest.fixture
+def no_new_children():
+    """Asserts on exit that the test left no child process of its own alive
+    (the suite's shared sweep pool may legitimately be up already)."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    yield
+    after = {child.pid for child in multiprocessing.active_children()}
+    assert after <= before, f"left child processes alive: {sorted(after - before)}"
 
 
 class TestSubstrate:
-    PLAN = PartitionPlan(groups=((0,), (1,)), lookahead=0.5)
-
-    def _build(self, partition, payload):
-        return PingPong(partition, 1 - partition, horizon=3.0)
-
-    def test_cross_messages_arrive_after_lookahead(self):
-        outcomes, stats = run_partitions(
-            self._build, [None, None], self.PLAN, horizon=3.0, workers=1
-        )
-        # Events at t=1,2 produce arrivals at 1.5, 2.5; the t=3 send lands
-        # past the horizon and is conservatively never delivered.
-        assert outcomes[0] == [("recv", 1.5, "p1@1.0"), ("recv", 2.5, "p1@2.0")]
-        assert outcomes[1] == [("recv", 1.5, "p0@1.0"), ("recv", 2.5, "p0@2.0")]
-        assert stats.windows == 6
-        assert stats.cross_messages == 6
-        assert stats.null_messages == 6
+    PLAN = PartitionPlan(groups=((0,), (1,)))
 
     def test_multiprocess_equivalent_to_in_process(self):
-        serial, s1 = run_partitions(
-            self._build, [None, None], self.PLAN, horizon=3.0, workers=1
-        )
-        forked, s2 = run_partitions(
-            self._build, [None, None], self.PLAN, horizon=3.0, workers=2
-        )
-        assert serial == forked
-        assert s1.windows == s2.windows
-        assert s1.cross_messages == s2.cross_messages
-        assert s2.workers == 2
+        plan = PartitionPlan(groups=((0,), (1,), (2,), (3,), (4,)))
+        payloads = [3, 1, 4, 1, 5]
+        serial = run_partitions(_square, payloads, plan, workers=1)
+        forked = run_partitions(_square, payloads, plan, workers=2)
+        strip = lambda outcomes: [(p, value) for p, value, _ in outcomes]
+        # Same outcomes, in partition order, wherever they ran.
+        assert strip(serial) == strip(forked) == [
+            (0, 9), (1, 1), (2, 16), (3, 1), (4, 25)
+        ]
+        assert {pid for _, _, pid in serial} == {os.getpid()}
+        assert os.getpid() not in {pid for _, _, pid in forked}
 
     def test_workers_clamped_to_partitions(self):
-        _, stats = run_partitions(
-            self._build, [None, None], self.PLAN, horizon=3.0, workers=8
-        )
-        assert stats.workers == 2
-
-    def test_injected_messages_sorted_by_time_seq_src(self):
-        # One sink partition; two senders emit interleaved messages whose
-        # arrival order must be (time, seq, src) regardless of send order.
-        class Sink:
-            def __init__(self):
-                self.got = []
-
-            def inject(self, messages):
-                self.got.extend((m.time, m.seq, m.src, m.payload) for m in messages)
-
-            def advance(self, until):
-                return []
-
-            def pending(self):
-                return False
-
-            def stopped(self):
-                return False
-
-            def finish(self):
-                return self.got
-
-        class Burst:
-            def __init__(self, me):
-                self.me = me
-                self.sent = False
-
-            def inject(self, messages):
-                pass
-
-            def advance(self, until):
-                if self.sent:
-                    return []
-                self.sent = True
-                # Deliberately emitted out of order.
-                return [
-                    CrossMessage(2.0, 5, self.me, 0, self.me, 0, f"late{self.me}", "m"),
-                    CrossMessage(2.0, 1, self.me, 0, self.me, 0, f"tie{self.me}", "m"),
-                    CrossMessage(1.5, 9, self.me, 0, self.me, 0, f"early{self.me}", "m"),
-                ]
-
-            def pending(self):
-                return False
-
-            def stopped(self):
-                return False
-
-            def finish(self):
-                return None
-
-        def build(partition, payload):
-            return Sink() if partition == 0 else Burst(partition)
-
-        plan = PartitionPlan(groups=((0,), (1,), (2,)), lookahead=1.0)
-        outcomes, _ = run_partitions(build, [None] * 3, plan, horizon=4.0, workers=1)
-        keys = [(t, seq, src) for t, seq, src, _ in outcomes[0]]
-        assert keys == sorted(keys)
-        # Equal (time, seq) ties break on src.
-        assert [p for _, _, _, p in outcomes[0]][:2] == ["early1", "early2"]
-
-    def test_stop_halts_every_partition(self):
-        class Stopper(PingPong):
-            def stopped(self):
-                return self.next_event > 2.0  # stops mid-run
-
-        def build(partition, payload):
-            cls = Stopper if partition == 0 else PingPong
-            return cls(partition, 1 - partition, horizon=10.0)
-
-        plan = PartitionPlan(groups=((0,), (1,)), lookahead=0.5)
-        outcomes, stats = run_partitions(build, [None, None], plan, 10.0, workers=1)
-        # Partition 1 would have run to t=10 alone; the stop in partition 0
-        # halts the window loop for everyone.
-        assert stats.windows < len(plan.window_ends(10.0))
-        assert all(t <= 3.0 for _, t, _ in outcomes[1])
+        outcomes = run_partitions(_square, [1, 2], self.PLAN, workers=8)
+        # Eight requested, two partitions: at most two processes ever ran.
+        assert 1 <= len({pid for _, _, pid in outcomes}) <= 2
 
     def test_payload_count_must_match_partitions(self):
         with pytest.raises(ConfigurationError):
-            run_partitions(self._build, [None], self.PLAN, horizon=1.0, workers=1)
+            run_partitions(_square, [None], self.PLAN, workers=1)
+
+    def test_nonpositive_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_partitions(_square, [1, 2], self.PLAN, workers=0)
+
+    def test_dead_worker_raises_typed_error_naming_partitions(self, no_new_children):
+        plan = PartitionPlan(groups=((0,), (1,), (2,), (3,)))
+        with pytest.raises(WorkerError, match="died") as caught:
+            run_partitions(_die_in_partition_one, [None] * 4, plan, workers=2)
+        err = caught.value
+        assert isinstance(err, ReproError)
+        # The partition the dead worker was running is named, in the
+        # attribute and in the message; nothing partial came back.
+        assert 1 in err.partitions
+        assert str(list(err.partitions)) in str(err)
+
+    def test_task_error_propagates_unchanged(self, no_new_children):
+        plan = PartitionPlan(groups=((0,), (1,), (2,), (3,)))
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="partition 2"):
+                run_partitions(_raise_in_partition_two, [None] * 4, plan, workers)
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +331,7 @@ class TestNemesisFiltering:
 
 
 # --------------------------------------------------------------------------
-# Tentpole: the RSM path — stubs, merged stats, deterministic section.
+# The RSM path — merged outcomes, deterministic section, parent pins.
 
 
 class TestParallelRsm:
@@ -508,9 +350,11 @@ class TestParallelRsm:
         assert result.committed > 0
         assert result.linearizable is True
         parallel = result.parallel
+        assert set(parallel) == {
+            "partitions", "workers", "events_total", "max_partition_events"
+        }
         assert parallel["partitions"] == 4
-        assert parallel["speedup_bound"] > 1.0
-        assert parallel["events_total"] >= parallel["max_partition_events"]
+        assert parallel["events_total"] > parallel["max_partition_events"] > 0
 
     def test_parallel_section_is_deterministic(self):
         first = run_rsm(RsmRunSpec(**self.SPEC, parallel=True, workers=1))
@@ -524,7 +368,8 @@ class TestParallelRsm:
         # The deterministic section reports the *requested* workers; only
         # the opt-in perf stats see the actual process count.
         assert free.parallel == capped.parallel
-        assert capped.parallel_stats.workers == 1
+        assert free.parallel_stats["workers"] == 4
+        assert capped.parallel_stats["workers"] == 1
 
     def test_commit_latencies_flow_into_report(self):
         from repro.engine.runner import execute_run
@@ -542,6 +387,127 @@ class TestParallelRsm:
         # of the full report document.
         again = execute_run(RsmRunSpec(**self.SPEC, parallel=True, workers=1))
         assert one.to_json() == again.to_json()
+
+
+# --------------------------------------------------------------------------
+# Pins from the pre-refactor engine: the map over shards must reproduce, byte
+# for byte, what the conservative-window scheduler produced at commit 5fd8236
+# — merged trace and every report section except rsm["parallel"] — for every
+# worker count, for passing and failing runs alike.  The nemesis spec is the
+# one test_determinism.py pins worker-count identity on.
+
+
+def _crash_spec(workers):
+    return RsmRunSpec(
+        protocol="multipaxos",
+        seed=5,
+        rate=200.0,
+        duration=2.0,
+        clients=8,
+        snapshot_every=20,
+        recover_after=0.3,
+        crash_at=((1, 0.6), (7, 0.9)),
+        topology=TopologySpec(groups=4, group_size=3),
+        parallel=True,
+        workers=workers,
+    )
+
+
+def _observe(spec):
+    """(trace sha256, report-sans-rsm.parallel sha256, error) of one run."""
+    from repro.engine.runner import execute_run
+
+    tracer = Tracer()
+    report_sha = error = None
+    try:
+        body = execute_run(spec, ctx=RunContext(tracer=tracer)).to_dict()
+        del body["rsm"]["parallel"]
+        report_sha = hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()
+        ).hexdigest()
+    except ReproError as err:
+        error = f"{type(err).__name__}: {err}"
+    return hashlib.sha256(trace_bytes(tracer)).hexdigest(), report_sha, error
+
+
+class TestParentPins:
+    # The report embeds the spec (and so its cache key and `workers`), hence
+    # one report hash per worker count; the trace hash is shared.
+    NEMESIS_TRACE = "0d6a99408138c656c8ec83b87468eefda1e50b56b5ad8ddfa8a452749fb16141"
+    NEMESIS_REPORT = {
+        1: "2ac0ae9b9a1c5f34e2c16178e99b230e66fda55b58aa196d0c81b55ef43fa717",
+        2: "640da89ce314a99bdb0ce85ab4e2b6cb7d132ed56cb18830fbbfc15f7dbf3640",
+        4: "82f88ae0d2bb83959b9ac6bb6be7ef10b1728c09da46e2fbc22169a00bd4df6c",
+    }
+    CRASH_TRACE = "4d5b0811f6327c644730767aa9af39e7932594e524d2afcdbaec8a4d4020adfd"
+    CRASH_REPORT = {
+        1: "ccd27e0a5e1114f612757045862d878229fc3ee1e69e93634a3282fe4ae7f678",
+        2: "ee7a8a4b165253d6962347e4828c14c46a78fe38973c2f4d34e00f9b0fb954ad",
+        4: "e5d66edced5e5a2df93ca9027b6f0f2ff2cae09f3230f4b43814864df87f1ef0",
+    }
+    # (seed, groups) -> (merged trace sha256, the failure the parent raised)
+    FAILING = {
+        (1, 2): (
+            "940aa840ec1d5b47f05ab543716734015e66ab60167d30d8bd8f62e23b2c8740",
+            "TerminationFailure: requests never acknowledged within the horizon: "
+            "{0: [12, 13, 14], 2: [10, 11, 12, 13, 14, 15, 16], "
+            "4: [9, 10, 11, 12, 13, 14]}",
+        ),
+        (23, 4): (
+            "daba9860bc3b97dce50d161289aa7809aea870e6a1a8c4dca912fe09fbc2dd6d",
+            "TerminationFailure: shard 1: survivor 3 diverged from replica 4 "
+            "at drain",
+        ),
+        (5, 8): (
+            "f6cf34b5ed2e337ab5864bd6f8139d601941224e62ae446a19e62c2bbe95ecb2",
+            "TerminationFailure: shard 4: survivor 14 diverged from replica 12 "
+            "at drain",
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_nemesis_run_matches_parent(self, workers):
+        assert _observe(_parallel_rsm_spec(workers)) == (
+            self.NEMESIS_TRACE, self.NEMESIS_REPORT[workers], None
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_crash_recovery_run_matches_parent(self, workers):
+        assert _observe(_crash_spec(workers)) == (
+            self.CRASH_TRACE, self.CRASH_REPORT[workers], None
+        )
+
+    @pytest.mark.parametrize("seed,groups", sorted(FAILING))
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failing_run_matches_parent(self, workers, seed, groups):
+        # A failing shard still re-raises with the full merged trace in the
+        # caller's tracer: same evidence, same first failure in shard order.
+        trace_sha, error = self.FAILING[seed, groups]
+        assert _observe(_parallel_rsm_spec(workers, seed=seed, groups=groups)) == (
+            trace_sha, None, error
+        )
+
+
+def _run_shard_dying_in_shard_two(shard, payload):
+    if shard == 2:
+        os._exit(1)
+    return _run_shard(shard, payload)
+
+
+class TestDeadWorker:
+    def test_dead_shard_worker_raises_typed_error(self, monkeypatch, no_new_children):
+        monkeypatch.setattr(
+            "repro.rsm.parallel._run_shard", _run_shard_dying_in_shard_two
+        )
+        spec = RsmRunSpec(**TestParallelRsm.SPEC, parallel=True, workers=2)
+        tracer = Tracer()
+        with pytest.raises(WorkerError, match=r"died.*\b2\b") as caught:
+            run_rsm(spec, ctx=RunContext(tracer=tracer))
+        assert isinstance(caught.value, ReproError)
+        assert 2 in caught.value.partitions  # partition index == shard number
+        # No partial result: nothing was merged (and, by the fixture, no
+        # child process is left behind).
+        assert tracer.records == []
 
 
 # --------------------------------------------------------------------------
@@ -596,52 +562,3 @@ class TestSweepBudget:
         result = run_sweep([spec], jobs=1)
         assert result.notes == ()
         assert result.reports[0].rsm["parallel"]["partitions"] == 2
-
-
-# --------------------------------------------------------------------------
-# Satellite: warehouse distillation + reversed-direction regression gate.
-
-
-class TestWarehouseSpeedup:
-    def _entry(self):
-        from repro.engine.runner import execute_run
-        from repro.obs.warehouse import build_entry
-
-        spec = RsmRunSpec(
-            protocol="multipaxos",
-            seed=7,
-            rate=20.0,
-            duration=1.0,
-            clients=4,
-            topology=TopologySpec(groups=2, group_size=3),
-            parallel=True,
-            workers=2,
-        )
-        report = execute_run(spec)
-        return build_entry(report, [])
-
-    def test_entry_carries_speedup_distillation(self):
-        entry = self._entry()
-        dist = entry["parallel_speedup"]
-        assert dist["partitions"] == 2
-        assert dist["workers"] == 2
-        assert dist["speedup_bound"] > 1.0
-
-    def test_compare_flags_shrunken_speedup(self):
-        from repro.obs.warehouse import compare_entries
-
-        base = self._entry()
-        fresh = json.loads(json.dumps(base))
-        fresh["parallel_speedup"]["speedup_bound"] = (
-            base["parallel_speedup"]["speedup_bound"] * 0.5
-        )
-        _, failures = compare_entries(base, fresh, tolerance=0.3)
-        assert any("speedup_bound" in f for f in failures)
-        # Identical entries pass, and a *grown* bound is never a regression.
-        _, ok = compare_entries(base, base, tolerance=0.3)
-        assert ok == []
-        fresh["parallel_speedup"]["speedup_bound"] = (
-            base["parallel_speedup"]["speedup_bound"] * 2.0
-        )
-        _, grown = compare_entries(base, fresh, tolerance=0.3)
-        assert grown == []
