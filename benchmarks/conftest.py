@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -58,3 +59,11 @@ def report():
 def once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def one_step_counts(hosts) -> tuple[int, int]:
+    """(one-step, slower) counts of the rounds decided inside the round
+    structure, summed over ``hosts`` from each reduction's decision tally."""
+    tally = sum((host.abcast.decision_tally for host in hosts.values()), Counter())
+    in_round = sum(count for (via, _), count in tally.items() if via == "round")
+    return tally["round", 1], in_round - tally["round", 1]

@@ -14,7 +14,7 @@ from repro.harness.factories import CONSENSUS_FACTORIES, cabcast_l
 from repro.harness.consensus_runner import CONSENSUS_SCOPE
 from repro.sim.network import LanDelay
 
-from conftest import once
+from conftest import once, one_step_counts
 
 DGRAM = LanDelay(base=300e-6, jitter_mean=150e-6, jitter_sigma=1.3)
 
@@ -29,15 +29,9 @@ def one_step_fraction(senders, seeds=8):
         result = run_abcast(
             cabcast_l, 4, schedules, seed=seed, datagram_delay=DGRAM, horizon=5.0
         )
-        for host in result.hosts.values():
-            abcast = host.abcast
-            for instance in abcast._instances.values():
-                if instance.decision is None or instance.decision.via != "round":
-                    continue
-                if instance.decision.steps == 1:
-                    fast += 1
-                else:
-                    slow += 1
+        run_fast, run_slow = one_step_counts(result.hosts)
+        fast += run_fast
+        slow += run_slow
     total = fast + slow
     return fast / total if total else float("nan")
 

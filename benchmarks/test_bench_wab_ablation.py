@@ -18,7 +18,7 @@ from repro.workload.experiment import LAN, LAN_CAPACITY, LAN_DATAGRAM
 from repro.workload.generator import poisson_schedule
 from repro.workload.metrics import summarize
 
-from conftest import once
+from conftest import once, one_step_counts
 
 RATES = (50, 200, 400)
 DURATION = 2.0
@@ -38,15 +38,7 @@ def run_point(make, rate, seed):
         horizon=DURATION + 1.0,
         require_all_delivered=False,
     )
-    fast = slow = 0
-    for host in result.hosts.values():
-        for instance in host.abcast._instances.values():
-            if instance.decision is None or instance.decision.via != "round":
-                continue
-            if instance.decision.steps == 1:
-                fast += 1
-            else:
-                slow += 1
+    fast, slow = one_step_counts(result.hosts)
     latency = summarize(result.latencies((0.3, DURATION))).mean * 1e3
     one_step = fast / (fast + slow) if fast + slow else float("nan")
     return one_step, latency

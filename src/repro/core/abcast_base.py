@@ -10,17 +10,30 @@ Messages are :class:`AppMessage` records identified by ``(origin, seq)``;
 batches decided by consensus are delivered "atomically in some deterministic
 order" (algorithm 3, line 10) — here: sorted by ``(origin, seq)``, a total
 order available identically at every process.
+
+The two consensus-sequence reductions (C-Abcast and the CT/MR-style
+``CtAbcast``) keep their per-round consensus modules in one
+:class:`ConsensusInstances` map, which is also where a decided instance ends.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable
 
-from repro.sim.process import Environment
+from repro.core.interfaces import ConsensusModule
+from repro.sim.process import Environment, ScopedEnvironment
 
-__all__ = ["AppMessage", "AbcastModule", "deterministic_batch_order"]
+__all__ = [
+    "AppMessage",
+    "AbcastModule",
+    "ConsensusInstances",
+    "RETIRED",
+    "deterministic_batch_order",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,3 +131,89 @@ class AbcastModule(abc.ABC):
             if self._on_deliver is not None:
                 self._on_deliver(message)
         return fresh
+
+
+class _Retired:
+    """What a round's map entry becomes once its instance is retired.
+
+    It reads as proposed and decided, so a reduction never proposes to it,
+    and it drops whatever arrives: the late PROP/DECIDE traffic of an old
+    round costs the dict hit it always did and re-creates nothing.
+    """
+
+    __slots__ = ()
+    proposed = decided = True
+
+    def on_message(self, src: int, msg: Any) -> None:
+        pass
+
+    def enable_obs(self, tracer, instance_label: Any = None) -> None:
+        pass
+
+
+#: The one stand-in shared by every retired round of every process.
+RETIRED = _Retired()
+
+
+class ConsensusInstances(dict):
+    """Round → consensus module, for a reduction to a sequence of consensus.
+
+    ``instances[k]`` is round ``k``'s module, created on first use: by the
+    local proposal, or by the first message of a peer that got there sooner.
+
+    Instance lifetime ends at decision.  A module that declares itself
+    :attr:`~repro.core.interfaces.ConsensusModule.inert_once_decided` has
+    nothing left to do once it has decided, so the decision upcall
+    calls its :meth:`~repro.core.interfaces.ConsensusModule.retire` and puts
+    :data:`RETIRED` in its place; the module, its scoped environment and its
+    PROP table are then garbage, and the map holds live modules only for the
+    rounds in flight.  Other modules (an acceptor must keep answering) stay.
+    Either way the decision is counted in :attr:`tally` and then handed to
+    ``on_decided(k, value)``.
+
+    Parameters
+    ----------
+    env:
+        The reduction's environment; round ``k`` runs under scope
+        ``("cons", k)`` of it.
+    factory:
+        ``factory(scoped_env) -> ConsensusModule``.
+    on_decided:
+        ``on_decided(k, value)``, the reduction's decision handler.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        factory: Callable[[Environment], ConsensusModule],
+        on_decided: Callable[[int, Any], None],
+    ) -> None:
+        super().__init__()
+        self._env = env
+        self._factory = factory
+        self._on_decided = on_decided
+        self.tracer = None
+        #: ``{(via, steps): decisions}`` — the part of every instance's
+        #: :class:`~repro.core.interfaces.DecisionRecord` that outlives it.
+        self.tally: Counter[tuple[str, int]] = Counter()
+
+    def __missing__(self, k: int) -> ConsensusModule:
+        instance = self._factory(ScopedEnvironment(self._env, ("cons", k)))
+        instance.set_on_decide(partial(self._decided, k))
+        if self.tracer is not None:
+            instance.enable_obs(self.tracer, instance_label=k)
+        self[k] = instance
+        return instance
+
+    def enable_obs(self, tracer) -> None:
+        self.tracer = tracer
+        for k, instance in self.items():
+            instance.enable_obs(tracer, instance_label=k)
+
+    def _decided(self, k: int, value: Any) -> None:
+        instance = self[k]
+        self.tally[instance.decision.via, instance.decision.steps] += 1
+        if instance.inert_once_decided:
+            instance.retire()
+            self[k] = RETIRED
+        self._on_decided(k, value)

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.abcast_base import AbcastModule, AppMessage
+from repro.core.abcast_base import AbcastModule, AppMessage, ConsensusInstances
 from repro.core.interfaces import ConsensusModule
 from repro.oracles.wab import WabOracle
-from repro.sim.process import Environment, Scoped, ScopedEnvironment
+from repro.sim.process import Environment, Scoped
 
 __all__ = ["CAbcast"]
 
@@ -65,16 +65,17 @@ class CAbcast(AbcastModule):
         wab_repeats: int = 0,
     ) -> None:
         super().__init__(env, on_deliver)
-        self._consensus_factory = consensus_factory
         self.wab = WabOracle(env, self._w_deliver, repeats=wab_repeats)
         self.round = 1
         self.state = _IDLE
         self.estimate: set[AppMessage] = set()
         self._first_payload: dict[int, frozenset[AppMessage]] = {}
         self._decisions: dict[int, frozenset[AppMessage]] = {}
-        self._instances: dict[int, ConsensusModule] = {}
-        # Metrics: rounds that decided off the one-step path vs the slow path
-        # are distinguished by the consensus modules' own DecisionRecords.
+        # One live consensus module per round in flight.
+        self._instances = ConsensusInstances(env, consensus_factory, self._decided)
+        #: ``{(via, steps): rounds}`` over every round decided at this process
+        #: (``("round", 1)`` is the one-step path).
+        self.decision_tally = self._instances.tally
         self.rounds_completed = 0
 
     # -------------------------------------------------------------- plumbing
@@ -83,30 +84,13 @@ class CAbcast(AbcastModule):
         if type(msg) is Scoped:
             scope = msg.scope
             if scope and scope[0] == "cons":
-                # _instance's dict hit, inlined: nearly every message lands
-                # on an already-created consensus instance.
-                instance = self._instances.get(scope[1])
-                if instance is None:
-                    instance = self._instance(scope[1])
-                instance.on_message(src, msg.inner)
+                self._instances[scope[1]].on_message(src, msg.inner)
                 return
         self.wab.on_message(src, msg)
 
     def enable_obs(self, tracer) -> None:
         super().enable_obs(tracer)
-        for k, instance in self._instances.items():
-            instance.enable_obs(tracer, instance_label=k)
-
-    def _instance(self, k: int) -> ConsensusModule:
-        instance = self._instances.get(k)
-        if instance is None:
-            scoped = ScopedEnvironment(self.env, ("cons", k))
-            instance = self._consensus_factory(scoped)
-            instance.set_on_decide(lambda value, k=k: self._decided(k, value))
-            if self.tracer is not None:
-                instance.enable_obs(self.tracer, instance_label=k)
-            self._instances[k] = instance
-        return instance
+        self._instances.enable_obs(tracer)
 
     # -------------------------------------------------------- the round loop
 
@@ -117,6 +101,8 @@ class CAbcast(AbcastModule):
 
     def _w_deliver(self, instance: int, payload: frozenset, position: int) -> None:
         if position == 0:
+            if instance < self.round:
+                return  # a round already delivered: nothing waits for it
             self._first_payload[instance] = payload
             if instance != self.round:
                 return  # future round: recorded for line 7's retroactive wait
@@ -152,7 +138,7 @@ class CAbcast(AbcastModule):
         """Line 8: propose the first w-delivered value of this round."""
         k = self.round
         self.state = _AWAIT_DECISION
-        instance = self._instance(k)
+        instance = self._instances[k]
         if not instance.proposed and not instance.decided:
             instance.propose(self._first_payload[k])
 
@@ -165,6 +151,7 @@ class CAbcast(AbcastModule):
         """Lines 9-15: deliver every consecutively decided round."""
         while self.round in self._decisions:
             batch = self._decisions.pop(self.round)
+            self._first_payload.pop(self.round, None)
             self._deliver_batch(batch)
             self.estimate = {
                 m for m in self.estimate if m.msg_id not in self._delivered_ids

@@ -52,6 +52,12 @@ class ConsensusModule(abc.ABC):
     #: broadcast/forward of task T2.
     announce_decide: bool = True
 
+    #: True when a decided instance is inert: it has announced its decision
+    #: and every later handler returns at its ``decided`` guard (task T2), so
+    #: a reduction retires it at decision.  Modules that must keep answering
+    #: after deciding (Paxos-family acceptors) leave this False and are kept.
+    inert_once_decided: bool = False
+
     #: Detailed observability (propose / round-start / round-end records).
     #: ``None`` keeps the module silent; :meth:`enable_obs` turns it on.
     tracer = None
@@ -112,6 +118,12 @@ class ConsensusModule(abc.ABC):
 
     def on_timer(self, name: Any) -> None:
         """Consensus modules are timer-free by default (round-asynchronous)."""
+
+    def retire(self) -> None:
+        """Let go of what outlives the instance (a detector subscription).
+
+        Called by a reduction that drops a decided, inert instance.
+        """
 
     # ----------------------------------------------------- subclass contract
 

@@ -62,6 +62,8 @@ class LConsensus(ConsensusModule):
         Upcall invoked exactly once with the decision value.
     """
 
+    inert_once_decided = True
+
     def __init__(
         self,
         env: Environment,
@@ -71,6 +73,7 @@ class LConsensus(ConsensusModule):
     ) -> None:
         super().__init__(env, on_decide)
         n = env.n
+        self._n = n  # group size is fixed; skip the per-round property
         self.f = (n - 1) // 3 if f is None else f
         if not 0 <= self.f or not 3 * self.f < n:
             raise ConfigurationError(
@@ -84,6 +87,9 @@ class LConsensus(ConsensusModule):
         # sender per round by construction; FIFO channels preserve that).
         self._props: dict[int, dict[int, LProp]] = {}
         omega.subscribe(self._on_omega_change)
+
+    def retire(self) -> None:
+        self.omega.unsubscribe(self._on_omega_change)
 
     # --------------------------------------------------------------- protocol
 
@@ -117,7 +123,7 @@ class LConsensus(ConsensusModule):
     def _try_complete_round(self) -> None:
         r = self.round
         received = self._props.get(r, {})
-        n, f = self.env.n, self.f
+        n, f = self._n, self.f
         if len(received) < n - f:
             return  # line 2: need n - f round-r PROPs
         ld = self._round_leader

@@ -66,6 +66,8 @@ class PConsensus(ConsensusModule):
         Upcall invoked exactly once with the decision value.
     """
 
+    inert_once_decided = True
+
     def __init__(
         self,
         env: Environment,
@@ -88,6 +90,9 @@ class PConsensus(ConsensusModule):
         # None while in the first wait (line 2); the fixed quorum afterwards.
         self._quorum: tuple[int, ...] | None = None
         suspects.subscribe(self._on_suspects_change)
+
+    def retire(self) -> None:
+        self.suspects.unsubscribe(self._on_suspects_change)
 
     # --------------------------------------------------------------- protocol
 

@@ -24,10 +24,9 @@ The module is composition-friendly: attach it under a scope of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.fd.base import OmegaView, SuspectView, omega_from_suspects
+from repro.fd.base import OmegaView, Subscribers, SuspectView, omega_from_suspects
 from repro.sim.process import Environment
 
 __all__ = ["Heartbeat", "HeartbeatSuspector"]
@@ -41,7 +40,7 @@ class Heartbeat:
     seq: int
 
 
-class HeartbeatSuspector(SuspectView):
+class HeartbeatSuspector(Subscribers, SuspectView):
     """◇P module: broadcast heartbeats, suspect on timeout, adapt on mistakes."""
 
     HB_TIMER = "heartbeat"
@@ -63,6 +62,7 @@ class HeartbeatSuspector(SuspectView):
             raise ConfigurationError(
                 f"initial_timeout ({initial_timeout}) must exceed period ({period})"
             )
+        super().__init__()
         self.env = env
         self.period = period
         self.timeout_increment = timeout_increment
@@ -71,7 +71,6 @@ class HeartbeatSuspector(SuspectView):
         }
         self._suspected: set[int] = set()
         self._seq = 0
-        self._subscribers: list[Callable[[], None]] = []
         self.false_suspicions = 0
 
     # --------------------------------------------------------------- view API
@@ -79,16 +78,9 @@ class HeartbeatSuspector(SuspectView):
     def suspected(self) -> frozenset[int]:
         return frozenset(self._suspected)
 
-    def subscribe(self, fn: Callable[[], None]) -> None:
-        self._subscribers.append(fn)
-
     def omega(self) -> OmegaView:
         """Derived Ω: lowest-index non-suspected process."""
         return omega_from_suspects(self, self.env.peers)
-
-    def _notify(self) -> None:
-        for fn in list(self._subscribers):
-            fn()
 
     # ----------------------------------------------------------- protocol side
 

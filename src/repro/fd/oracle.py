@@ -20,10 +20,10 @@ listeners.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.fd.base import OmegaView, SuspectView
+from repro.fd.base import OmegaView, Subscribers, SuspectView
 from repro.sim.kernel import Simulator
 
 __all__ = [
@@ -33,38 +33,24 @@ __all__ = [
 ]
 
 
-class _OracleOmegaView(OmegaView):
+class _OracleOmegaView(Subscribers, OmegaView):
     def __init__(self, oracle: "OracleFailureDetector", pid: int) -> None:
+        super().__init__()
         self._oracle = oracle
         self.pid = pid
-        self._subscribers: list[Callable[[], None]] = []
 
     def leader(self) -> int | None:
         return self._oracle.current_leader()
 
-    def subscribe(self, fn: Callable[[], None]) -> None:
-        self._subscribers.append(fn)
 
-    def _notify(self) -> None:
-        for fn in list(self._subscribers):
-            fn()
-
-
-class _OracleSuspectView(SuspectView):
+class _OracleSuspectView(Subscribers, SuspectView):
     def __init__(self, oracle: "OracleFailureDetector", pid: int) -> None:
+        super().__init__()
         self._oracle = oracle
         self.pid = pid
-        self._subscribers: list[Callable[[], None]] = []
 
     def suspected(self) -> frozenset[int]:
         return self._oracle.current_suspects()
-
-    def subscribe(self, fn: Callable[[], None]) -> None:
-        self._subscribers.append(fn)
-
-    def _notify(self) -> None:
-        for fn in list(self._subscribers):
-            fn()
 
 
 class OracleFailureDetector:
@@ -193,7 +179,7 @@ class OracleFailureDetector:
                 view._notify()
 
 
-class _ScriptBase:
+class _ScriptBase(Subscribers):
     """Shared machinery for scripted views: replay (time, output) steps."""
 
     def __init__(self, sim: Simulator, steps: Sequence[tuple[float, object]]) -> None:
@@ -204,21 +190,17 @@ class _ScriptBase:
             raise ConfigurationError("script steps must be time-ordered")
         if times[0] > 0:
             raise ConfigurationError("the first script step must be at time 0")
+        super().__init__()
         self.sim = sim
         self._output = steps[0][1]
-        self._subscribers: list[Callable[[], None]] = []
         for time, output in steps[1:]:
             sim.schedule_at(time, self._switch, output)
-
-    def subscribe(self, fn: Callable[[], None]) -> None:
-        self._subscribers.append(fn)
 
     def _switch(self, output) -> None:
         if output == self._output:
             return
         self._output = output
-        for fn in list(self._subscribers):
-            fn()
+        self._notify()
 
 
 class ScriptedOmega(_ScriptBase, OmegaView):

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.abcast_base import AbcastModule, AppMessage
+from repro.core.abcast_base import AbcastModule, AppMessage, ConsensusInstances
 from repro.core.interfaces import ConsensusModule
-from repro.sim.process import Environment, Scoped, ScopedEnvironment
+from repro.sim.process import Environment, Scoped
 
 __all__ = ["Disseminate", "CtAbcast"]
 
@@ -52,11 +52,12 @@ class CtAbcast(AbcastModule):
         on_deliver: Callable[[AppMessage], None] | None = None,
     ) -> None:
         super().__init__(env, on_deliver)
-        self._consensus_factory = consensus_factory
         self.round = 1
         self.estimate: set[AppMessage] = set()
         self._decisions: dict[int, frozenset] = {}
-        self._instances: dict[int, ConsensusModule] = {}
+        self._instances = ConsensusInstances(env, consensus_factory, self._decided)
+        #: ``{(via, steps): rounds}`` over every round decided at this process.
+        self.decision_tally = self._instances.tally
         self._proposed_rounds: set[int] = set()
         self.rounds_completed = 0
 
@@ -69,7 +70,7 @@ class CtAbcast(AbcastModule):
                 self._maybe_propose()
         elif isinstance(msg, Scoped) and msg.scope and msg.scope[0] == "cons":
             k = msg.scope[1]
-            self._instance(k).on_message(src, msg.inner)
+            self._instances[k].on_message(src, msg.inner)
             # A foreign proposal for our current round obliges us to join it
             # even with an empty estimate, so the instance can gather n - f.
             if k == self.round:
@@ -77,19 +78,7 @@ class CtAbcast(AbcastModule):
 
     def enable_obs(self, tracer) -> None:
         super().enable_obs(tracer)
-        for k, instance in self._instances.items():
-            instance.enable_obs(tracer, instance_label=k)
-
-    def _instance(self, k: int) -> ConsensusModule:
-        instance = self._instances.get(k)
-        if instance is None:
-            scoped = ScopedEnvironment(self.env, ("cons", k))
-            instance = self._consensus_factory(scoped)
-            instance.set_on_decide(lambda value, k=k: self._decided(k, value))
-            if self.tracer is not None:
-                instance.enable_obs(self.tracer, instance_label=k)
-            self._instances[k] = instance
-        return instance
+        self._instances.enable_obs(tracer)
 
     # -------------------------------------------------------- the round loop
 
@@ -107,7 +96,7 @@ class CtAbcast(AbcastModule):
         if not self.estimate and not force:
             return
         self._proposed_rounds.add(k)
-        instance = self._instance(k)
+        instance = self._instances[k]
         if not instance.proposed and not instance.decided:
             instance.propose(frozenset(self.estimate))
 

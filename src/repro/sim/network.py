@@ -346,9 +346,9 @@ def _approx_bytes(payload: Any) -> int:
     return HEADER_BYTES + len(repr(payload))
 
 
-#: ``len(repr(None))`` — used to strip the placeholder from a probed
-#: ``Scoped`` wrapper repr when computing the wrapper's fixed overhead.
-_NONE_REPR_LEN = len(repr(None))
+#: The fixed part of a ``Scoped`` wrapper's generated repr,
+#: ``"Scoped(scope=" + repr(scope) + ", inner=" + repr(inner) + ")"``.
+_SCOPED_REPR_OVERHEAD = len(repr(Scoped((), None))) - len(repr(())) - len(repr(None))
 
 #: Per-type sentinel marking "this type is a scope wrapper, unwrap it".
 _WRAPPER = object()
@@ -381,11 +381,10 @@ def _dataclass_repr_template(tp: type) -> tuple[tuple[str, ...], int] | None:
     return names, overhead
 
 
-#: Cap on the identity-keyed memo dicts (``_scope_overhead``,
-#: ``_frozenset_lens``).  Long RSM runs mint fresh scope tuples and estimate
-#: frozensets indefinitely; past the cap the oldest entry is evicted (dicts
-#: iterate in insertion order), which only costs a recomputation — never
-#: exactness — if that entry is ever needed again.
+#: Cap on the identity-keyed ``_frozenset_lens`` memo.  Long RSM runs mint
+#: estimate frozensets indefinitely; past the cap the oldest entry is evicted
+#: (dicts iterate in insertion order), which only costs a recomputation —
+#: never exactness — if that entry is ever needed again.
 STATS_MEMO_CAP = 4096
 
 
@@ -394,14 +393,14 @@ class NetworkStats:
 
     Byte accounting is lazy/memoised but **exact**: every total equals the
     naive ``HEADER_BYTES + len(repr(payload))`` of the seed implementation.
-    Three caches make the common cases cheap:
+    Three shortcuts make the common cases cheap:
 
     * a one-entry identity cache — a broadcast hands the *same* payload
       object to every destination, so n sends cost one repr;
-    * a per-scope overhead cache — a dataclass ``Scoped(scope, inner)`` repr
+    * scope-wrapper arithmetic — a dataclass ``Scoped(scope, inner)`` repr
       is compositional (``"Scoped(scope=" + repr(scope) + ", inner=" +
-      repr(inner) + ")"``), and a sub-module's scope tuple is one long-lived
-      object, so only the (fresh) inner payload is ever repr'd;
+      repr(inner) + ")"``), so the wrapper costs a constant plus the C-level
+      repr of its scope tuple and only the inner payload is walked;
     * a per-type kind cache, replacing two ``hasattr`` probes per send.
     """
 
@@ -429,13 +428,11 @@ class NetworkStats:
         self._kind_stats: dict[str, list[int]] = {}
         # kind per payload type; _WRAPPER marks scope wrappers.
         self._type_kind: dict[type, Any] = {}
-        # id(scope) -> (scope ref, repr-length overhead of the wrapper).  The
-        # kept reference pins the id against reuse.
-        self._scope_overhead: dict[int, tuple[Any, int]] = {}
         # type -> (field names, fixed overhead) for decomposable dataclass
         # reprs, or _OPAQUE for everything else.
         self._repr_templates: dict[type, Any] = {}
-        # Identity memo of the last accounted payload (ref kept, see above).
+        # Identity memo of the last accounted payload (the kept reference
+        # pins the id against reuse).
         self._last_payload: Any = None
         self._last_kind: str = ""
         self._last_size: int = 0
@@ -467,16 +464,7 @@ class NetworkStats:
                 # Kind and length of the *inner* object are memoised by
                 # identity, so a fan-out of distinct wrappers sharing one
                 # inner message (a forwarded DECIDE) costs one walk.
-                scope = payload.scope
-                cached = self._scope_overhead.get(id(scope))
-                if cached is not None and cached[0] is scope:
-                    overhead = cached[1]
-                else:
-                    overhead = len(repr(Scoped(scope, None))) - _NONE_REPR_LEN
-                    memo = self._scope_overhead
-                    memo[id(scope)] = (scope, overhead)
-                    if len(memo) > STATS_MEMO_CAP:
-                        del memo[next(iter(memo))]
+                overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
                 inner = payload.inner
                 if inner is self._last_sent_inner and inner is not None:
                     kind = self._last_sent_inner_kind
@@ -509,22 +497,13 @@ class NetworkStats:
         """Exact ``len(repr(payload))``, avoiding reprs of cached structure.
 
         ``Scoped`` wrappers and dataclass messages have compositional
-        generated reprs, so their fixed parts are cached per scope/type and
+        generated reprs, so their fixed parts are constants cached per type and
         only leaf values (ids, payloads — typically C-repr'd tuples and
         strings) are measured directly.
         """
         tp = type(payload)
         if tp is Scoped:
-            scope = payload.scope
-            cached = self._scope_overhead.get(id(scope))
-            if cached is not None and cached[0] is scope:
-                overhead = cached[1]
-            else:
-                overhead = len(repr(Scoped(scope, None))) - _NONE_REPR_LEN
-                memo = self._scope_overhead
-                memo[id(scope)] = (scope, overhead)
-                if len(memo) > STATS_MEMO_CAP:
-                    del memo[next(iter(memo))]
+            overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
             inner = payload.inner
             if inner is self._last_inner and inner is not None:
                 return overhead + self._last_inner_len
@@ -837,16 +816,7 @@ class Network:
             size = stats._last_size
         else:
             if type(payload) is Scoped:
-                scope = payload.scope
-                cached = stats._scope_overhead.get(id(scope))
-                if cached is not None and cached[0] is scope:
-                    overhead = cached[1]
-                else:
-                    overhead = len(repr(Scoped(scope, None))) - _NONE_REPR_LEN
-                    memo = stats._scope_overhead
-                    memo[id(scope)] = (scope, overhead)
-                    if len(memo) > STATS_MEMO_CAP:
-                        del memo[next(iter(memo))]
+                overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
                 inner = payload.inner
                 if inner is stats._last_sent_inner and inner is not None:
                     kind = stats._last_sent_inner_kind
@@ -1061,16 +1031,7 @@ class Network:
             size = stats._last_size
         else:
             if type(payload) is Scoped:
-                scope = payload.scope
-                cached = stats._scope_overhead.get(id(scope))
-                if cached is not None and cached[0] is scope:
-                    overhead = cached[1]
-                else:
-                    overhead = len(repr(Scoped(scope, None))) - _NONE_REPR_LEN
-                    memo = stats._scope_overhead
-                    memo[id(scope)] = (scope, overhead)
-                    if len(memo) > STATS_MEMO_CAP:
-                        del memo[next(iter(memo))]
+                overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
                 inner = payload.inner
                 if inner is stats._last_sent_inner and inner is not None:
                     kind = stats._last_sent_inner_kind

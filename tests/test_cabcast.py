@@ -1,11 +1,22 @@
 """Protocol tests for C-Abcast (algorithm 3) with both consensus modules."""
 
+import weakref
+
 import pytest
 
+from repro.core import Decide, LConsensus, LProp, PConsensus, PProp
+from repro.core.abcast_base import RETIRED
+from repro.core.cabcast import CAbcast
+from repro.core.interfaces import ConsensusModule
+from repro.fd.base import OmegaView, SuspectView
 from repro.harness.abcast_runner import run_abcast
+from repro.protocols import CtAbcast
 from repro.sim.network import ConstantDelay, UniformDelay
+from repro.sim.process import Scoped
+from repro.sim.trace import Tracer
 
 from tests.conftest import make_cabcast_l, make_cabcast_p
+from tests.test_protocol_guards import FixedOmega, FixedSuspects, ScriptEnv
 
 D = ConstantDelay(100e-6)
 
@@ -167,3 +178,139 @@ class TestFaultTolerance:
         r2 = run_abcast(make_cabcast_p, 4, schedules, seed=15, horizon=10.0)
         assert r1.deliveries == r2.deliveries
         assert r1.network_stats == r2.network_stats
+
+
+# --------------------------------------------------------- instance lifetime
+
+# (consensus module, the OracleFailureDetector method that hands out its view)
+STACKS = [
+    pytest.param(LConsensus, "omega", id="l"),
+    pytest.param(PConsensus, "suspect", id="p"),
+]
+
+
+class TestInstanceLifetime:
+    """A consensus instance ends at decision (docs/PROTOCOLS.md, Algorithm 3)."""
+
+    @pytest.mark.parametrize("module, view_of", STACKS)
+    def test_long_run_holds_only_the_rounds_in_flight(self, module, view_of):
+        rounds = 2000
+        alive = {pid: weakref.WeakSet() for pid in range(4)}
+        peak = dict.fromkeys(range(4), 0)
+        views = {}
+
+        def make(pid, env, oracle, host):
+            views[pid] = getattr(oracle, view_of)(pid)
+
+            def consensus(senv):
+                instance = module(senv, views[pid])
+                alive[pid].add(instance)
+                peak[pid] = max(peak[pid], len(alive[pid]))
+                return instance
+
+            return CAbcast(env, consensus)
+
+        # Two jittered senders: some rounds are decided by a forwarded DECIDE
+        # before the local PROPs arrive, some instances exist ahead of time.
+        schedule = {
+            p: [(0.001 * (i + 1) + 0.00013 * p, (p, i)) for i in range(rounds // 2)]
+            for p in (0, 3)
+        }
+        result = run_abcast(
+            make, 4, schedule, seed=3, horizon=3.0,
+            delay=UniformDelay(50e-6, 200e-6),
+            datagram_delay=UniformDelay(50e-6, 300e-6),
+        )
+
+        for pid, host in result.hosts.items():
+            assert host.abcast.rounds_completed >= rounds
+            # Sampled at every instance creation: never more than the rounds
+            # in flight, however long the run.
+            assert peak[pid] <= 4
+            assert len(alive[pid]) == 0
+            assert set(host.abcast._instances.values()) == {RETIRED}
+            assert sum(host.abcast.decision_tally.values()) == host.abcast.rounds_completed
+            assert len(host.abcast._first_payload) == 0
+            assert len(views[pid]._subscribers) == 0
+
+    @pytest.mark.parametrize(
+        "module, view, prop, change",
+        [
+            (LConsensus, FixedOmega(1), LProp(1, "late", 1), 2),
+            (PConsensus, FixedSuspects(), PProp(1, "late"), {1}),
+        ],
+    )
+    def test_retired_round_drops_late_traffic(self, module, view, prop, change):
+        env = ScriptEnv(pid=0, n=4)
+        made = []
+
+        def consensus(senv):
+            made.append(module(senv, view))
+            return made[-1]
+
+        abcast = CAbcast(env, consensus)
+        tracer = Tracer()
+        abcast.enable_obs(tracer)
+        abcast.on_message(1, Scoped(("cons", 1), Decide(frozenset(), 1)))
+        assert made[0].decided and abcast._instances[1] is RETIRED
+        assert abcast.round == 2
+
+        sent, records = len(env.sent), len(tracer.records)
+        abcast.on_message(2, Scoped(("cons", 1), prop))
+        abcast.on_message(3, Scoped(("cons", 1), Decide(frozenset(), 1)))
+        view.change(change)  # these views keep the callback: it must be guarded
+        assert len(env.sent) == sent
+        assert len(tracer.records) == records
+        assert len(made) == 1 and abcast._instances[1] is RETIRED
+
+    @pytest.mark.parametrize("reduction", [CAbcast, CtAbcast])
+    def test_module_not_declared_inert_is_kept(self, reduction):
+        class Acceptor(ConsensusModule):
+            """Decides like any module, then must keep answering."""
+
+            answered = 0
+
+            def _start(self, value):
+                self._decide(value, steps=1)
+
+            def _on_protocol_message(self, src, msg):
+                self.answered += 1
+
+        abcast = reduction(ScriptEnv(pid=0, n=4), Acceptor)
+        abcast.on_message(1, Scoped(("cons", 1), Decide(frozenset(), 2)))
+        instance = abcast._instances[1]
+        assert type(instance) is Acceptor and instance.decision.via == "forward"
+        abcast.on_message(2, Scoped(("cons", 1), "phase-1a"))
+        assert instance.answered == 1
+        assert abcast.decision_tally == {("forward", 2): 1}
+
+    @pytest.mark.parametrize("module, view_of", STACKS)
+    def test_view_without_unsubscribe_still_completes(self, module, view_of):
+        class LegacyView(OmegaView, SuspectView):
+            """A user-defined view written before ``unsubscribe`` existed."""
+
+            def __init__(self, oracle, pid):
+                self._omega = oracle.omega(pid)
+                self._suspects = oracle.suspect(pid)
+                self._subscribe = getattr(oracle, view_of)(pid).subscribe
+
+            def leader(self):
+                return self._omega.leader()
+
+            def suspected(self):
+                return self._suspects.suspected()
+
+            def subscribe(self, fn):
+                self._subscribe(fn)
+
+        def make(pid, env, oracle, host):
+            view = LegacyView(oracle, pid)
+            return CAbcast(env, lambda senv: module(senv, view))
+
+        schedule = {1: [(0.001 * (i + 1), i) for i in range(20)]}
+        result = run_abcast(
+            make, 4, schedule, seed=4, crash_at={0: 0.0105},
+            detection_delay=0.002, horizon=5.0, require_all_delivered=False,
+        )
+        for pid in (1, 2, 3):
+            assert result.deliveries[pid] == [(1, i + 1) for i in range(20)]

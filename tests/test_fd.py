@@ -256,3 +256,66 @@ class TestDerivedOmega:
         omega.subscribe(lambda: changes.append(omega.leader()))
         sim.run()
         assert changes == [1]  # suspecting 2 changes nothing; suspecting 0 does
+
+
+def _oracle_views():
+    oracle = OracleFailureDetector(Simulator(), [0, 1, 2])
+    return oracle.omega(0), oracle.suspect(0)
+
+
+def _heartbeat_view():
+    sim, nodes, hosts = heartbeat_cluster()
+    sim.run(until=0.001)  # let on_start attach the module
+    return hosts[0].fd
+
+
+VIEWS = {
+    "oracle-omega": lambda: _oracle_views()[0],
+    "oracle-suspects": lambda: _oracle_views()[1],
+    "scripted-omega": lambda: ScriptedOmega(Simulator(), [(0.0, 0)]),
+    "scripted-suspects": lambda: ScriptedSuspects(Simulator(), [(0.0, ())]),
+    "heartbeat": _heartbeat_view,
+    "derived-omega": lambda: _heartbeat_view().omega(),
+}
+
+
+@pytest.mark.parametrize("make", VIEWS.values(), ids=VIEWS.keys())
+class TestUnsubscribe:
+    """Every view lets a retired consensus instance stop listening."""
+
+    def test_unsubscribed_callback_is_no_longer_called(self, make):
+        view = make()
+        calls = []
+        first, second = (lambda: calls.append(1)), (lambda: calls.append(2))
+        view.subscribe(first)
+        view.subscribe(second)
+        view.unsubscribe(first)
+        view._notify()
+        assert calls == [2]
+
+    def test_unknown_callback_is_ignored(self, make):
+        view = make()
+        before = list(view._subscribers)
+        view.unsubscribe(lambda: None)
+        assert view._subscribers == before
+
+    def test_unsubscribe_during_notification(self, make):
+        # What a deciding instance does from inside its own callback: the
+        # notification in progress still reaches everyone it started with.
+        view = make()
+        calls = []
+
+        def first():
+            calls.append(1)
+            view.unsubscribe(first)
+            view.unsubscribe(second)
+
+        def second():
+            calls.append(2)
+
+        view.subscribe(first)
+        view.subscribe(second)
+        view._notify()
+        assert calls == [1, 2]
+        view._notify()
+        assert calls == [1, 2]

@@ -75,11 +75,12 @@ class TestLiveStackWithLoss:
         # WAB repeats restore validity under datagram loss, live on asyncio.
         from repro.core import PConsensus
         from repro.core.cabcast import CAbcast
+        from repro.fd.base import SuspectView
         from repro.harness.abcast_runner import AbcastHost
         from repro.harness.checkers import check_uniform_total_order
         from repro.runtime import AsyncCluster
 
-        class Trusting:
+        class Trusting(SuspectView):
             def suspected(self):
                 return frozenset()
 

@@ -271,11 +271,16 @@ class TestStats:
         assert net.pids is net.pids
 
 
+def _largest_container(stats):
+    """Size of the biggest dict/list the stats object holds."""
+    return max(len(v) for v in vars(stats).values() if isinstance(v, (dict, list)))
+
+
 class TestStatsMemoBounds:
-    """The identity-keyed memo dicts must stay bounded without costing
-    exactness: long runs mint fresh scope tuples and estimate frozensets
-    forever, so past the cap the oldest entries are evicted and simply
-    recomputed on re-use."""
+    """What the stats keep must stay bounded without costing exactness: long
+    runs mint fresh scope tuples and estimate frozensets forever.  Scope
+    wrappers are measured by arithmetic and leave nothing behind; past the
+    cap the oldest frozenset entries are evicted and recomputed on re-use."""
 
     def _exact(self, payloads, monkeypatch, cap):
         import repro.sim.network as network_mod
@@ -303,7 +308,15 @@ class TestStatsMemoBounds:
         distinct = [Scoped(("mod", i), ("payload", i)) for i in range(50)]
         payloads = distinct + distinct[:10]
         stats = self._exact(payloads, monkeypatch, cap=8)
-        assert len(stats._scope_overhead) <= 8
+        assert _largest_container(stats) <= 8
+
+    def test_repeated_and_empty_scopes_are_exact(self, monkeypatch):
+        from repro.sim.process import Scoped
+
+        shared = ("abc",)  # a stack's top-level scope: one tuple, every send
+        payloads = [Scoped(shared, i) for i in range(5)]
+        payloads += [Scoped((), "x"), Scoped(shared, Scoped(("cons", 7), "y"))]
+        self._exact(payloads, monkeypatch, cap=8)
 
     def test_record_sent_path_is_bounded_too(self, monkeypatch):
         import repro.sim.network as network_mod
@@ -315,7 +328,7 @@ class TestStatsMemoBounds:
         payloads = [Scoped(("svc", i), ("body", i)) for i in range(40)]
         for payload in payloads:
             stats.record_sent(Envelope(0, 1, payload, RELIABLE, 0.0))
-        assert len(stats._scope_overhead) <= 8
+        assert _largest_container(stats) <= 8
         assert stats.bytes_sent == sum(
             HEADER_BYTES + len(repr(p)) for p in payloads
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.core import LConsensus, PConsensus
 from repro.core.cabcast import CAbcast
 from repro.errors import ConfigurationError
+from repro.fd.base import SuspectView
 from repro.fd.heartbeat import HeartbeatSuspector
 from repro.harness.abcast_runner import AbcastHost
 from repro.harness.checkers import check_uniform_total_order
@@ -97,7 +98,7 @@ class TestLiveAbcast:
             def module_factory(host, env):
                 # An always-trusting ◇P view suffices for a short crash-free
                 # live demo (stable run by construction).
-                class Trusting:
+                class Trusting(SuspectView):
                     def suspected(self):
                         return frozenset()
 
