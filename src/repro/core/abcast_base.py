@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from repro.core.interfaces import ConsensusModule
@@ -43,21 +44,27 @@ class AppMessage:
     ``origin`` and ``seq`` identify the message uniquely; ``sent_at`` is the
     a-broadcast timestamp used by the latency metrics (it rides along in the
     identity, which is harmless since the tuple is unique anyway).
+
+    ``msg_id`` is ``(origin, seq)``, minted once at construction, so every
+    duplicate filter, pending table and trace record of the message shares
+    one tuple.  It is derived, not part of the message: it takes no
+    constructor argument and stays out of ``repr`` (hence the wire size),
+    ``==``, ``hash`` and :func:`~repro.core.values.canonical_key`.
     """
 
     origin: int
     seq: int
     payload: Any
     sent_at: float
+    msg_id: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def msg_id(self) -> tuple[int, int]:
-        return (self.origin, self.seq)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "msg_id", (self.origin, self.seq))
 
 
 def deterministic_batch_order(batch: Iterable[AppMessage]) -> list[AppMessage]:
     """The paper's "deterministic order" for intra-batch delivery."""
-    return sorted(batch, key=lambda m: (m.origin, m.seq))
+    return sorted(batch, key=attrgetter("msg_id"))
 
 
 class AbcastModule(abc.ABC):

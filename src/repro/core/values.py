@@ -19,6 +19,8 @@ __all__ = ["canonical_key", "majority_value", "value_with_count_at_least"]
 
 #: Per-dataclass-type field-name cache: ``dataclasses.fields`` rebuilds its
 #: tuple on every call and canonical_key sits on protocol tie-break paths.
+#: Only fields that take part in ``==`` count: a ``compare=False`` field is
+#: derived (``AppMessage.msg_id``), and equal values must get equal keys.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -36,7 +38,7 @@ def canonical_key(value: Any) -> str:
         names = _FIELD_NAMES.get(tp)
         if names is None:
             _FIELD_NAMES[tp] = names = tuple(
-                f.name for f in dataclasses.fields(value)
+                f.name for f in dataclasses.fields(value) if f.compare
             )
         fields = (f"{name}={canonical_key(getattr(value, name))}" for name in names)
         return tp.__name__ + "<" + ",".join(fields) + ">"

@@ -58,7 +58,8 @@ class CtAbcast(AbcastModule):
         self._instances = ConsensusInstances(env, consensus_factory, self._decided)
         #: ``{(via, steps): rounds}`` over every round decided at this process.
         self.decision_tally = self._instances.tally
-        self._proposed_rounds: set[int] = set()
+        #: The last round this process proposed in (rounds only go up).
+        self._proposed_round = 0
         self.rounds_completed = 0
 
     # -------------------------------------------------------------- plumbing
@@ -91,11 +92,11 @@ class CtAbcast(AbcastModule):
 
     def _maybe_propose(self, force: bool = False) -> None:
         k = self.round
-        if k in self._proposed_rounds or k in self._decisions:
+        if k == self._proposed_round or k in self._decisions:
             return
         if not self.estimate and not force:
             return
-        self._proposed_rounds.add(k)
+        self._proposed_round = k
         instance = self._instances[k]
         if not instance.proposed and not instance.decided:
             instance.propose(frozenset(self.estimate))

@@ -120,6 +120,7 @@ class MultiPaxosAbcast(AbcastModule):
         self.f = (n - 1) // 2 if f is None else f
         if not 0 <= self.f or not 2 * self.f < n:
             raise ConfigurationError(f"Multi-Paxos requires f < n/2 (got n={n}, f={self.f})")
+        self.quorum = n - self.f
         self.omega = omega
         self.storage = storage
         self._recovering_incarnation = bool(storage) and storage.get("initialized", False)
@@ -136,8 +137,11 @@ class MultiPaxosAbcast(AbcastModule):
         self._backlog: list[AppMessage] = []
         self._promises: dict[int, NewLeaderPromise] = {}
         self._phase1_done = False
-        # Learner state.
-        self._votes: dict[tuple[int, int], set[int]] = {}
+        # Learner state.  ``_votes`` holds slot -> ballot -> voters for the
+        # slots not yet chosen only: a slot's entry goes when it is chosen,
+        # and later LogAccepteds for it touch no table.  ``_chosen`` is kept
+        # whole, because phase 1 and catch-up read it.
+        self._votes: dict[int, dict[int, set[int]]] = {}
         self._chosen: dict[int, frozenset] = {}
         self._next_deliver = 1
         # Requests this process originated that are not yet delivered.
@@ -181,10 +185,6 @@ class MultiPaxosAbcast(AbcastModule):
             # A recovered incarnation must not reuse the pre-promised ballot
             # 0 shortcut: intervening ballots may exist, so run phase 1.
             self._assume_leadership(initial=not self._recovering_incarnation)
-
-    @property
-    def quorum(self) -> int:
-        return self.env.n - self.f
 
     # ------------------------------------------------------------ client side
 
@@ -338,13 +338,21 @@ class MultiPaxosAbcast(AbcastModule):
     # ------------------------------------------------------------- learner side
 
     def _on_accepted(self, src: int, msg: LogAccepted) -> None:
-        key = (msg.instance, msg.ballot)
-        voters = self._votes.setdefault(key, set())
-        voters.add(src)
-        if len(voters) < self.quorum or msg.instance in self._chosen:
+        instance = msg.instance
+        if instance in self._chosen:
             return
-        self._chosen[msg.instance] = msg.batch
-        self._in_flight.discard(msg.instance)
+        ballots = self._votes.get(instance)
+        if ballots is None:
+            ballots = self._votes[instance] = {}
+        voters = ballots.get(msg.ballot)
+        if voters is None:
+            voters = ballots[msg.ballot] = set()
+        voters.add(src)
+        if len(voters) < self.quorum:
+            return
+        del self._votes[instance]
+        self._chosen[instance] = msg.batch
+        self._in_flight.discard(instance)
         self._deliver_ready()
         self._flush_backlog()
 
@@ -373,6 +381,7 @@ class MultiPaxosAbcast(AbcastModule):
     def _on_catchup_reply(self, src: int, msg: CatchUpReply) -> None:
         for instance, batch in msg.entries:
             self._chosen.setdefault(instance, batch)
+            self._votes.pop(instance, None)
             self._in_flight.discard(instance)
         self._deliver_ready()
         self._flush_backlog()

@@ -248,15 +248,21 @@ class SessionDriver:
             return
         self.home = self.serving.next_home(self.home)
         retry_at = now + self.failover_delay
+        not_before = now
         for seq in sorted(self.pending):
             record = self.pending[seq]
-            # Future open-loop submissions keep their planned times; anything
-            # already issued into the dead replica is retried after the
-            # failover delay — with the same (session, seq) identity.
+            # Anything already issued into the dead replica is retried after
+            # the failover delay, with the same (session, seq) identity.
+            # Future open-loop submissions keep their planned times, except
+            # that none may overtake a retry: the dedup table is a per-session
+            # high-water mark, so a later seq applied first would make the
+            # retried one a duplicate at every replica — suppressed, never
+            # applied, never acknowledged.  Timers due at the same instant
+            # fire in scheduling order, so seq order holds at ``retry_at``.
             if record.submit_at > now:
-                at = record.submit_at
+                at = max(record.submit_at, not_before)
             else:
-                at = retry_at
+                at = not_before = retry_at
                 self.retries += 1
             self._schedule_submit(record.request, at)
 

@@ -15,7 +15,7 @@ from repro.harness.abcast_runner import AbcastHost
 from repro.harness.checkers import check_uniform_total_order
 from repro.protocols import MultiPaxosAbcast
 from repro.sim.kernel import Simulator
-from repro.sim.network import ConstantDelay, Network
+from repro.sim.network import ConstantDelay, Network, UniformDelay
 from repro.sim.node import Node
 from repro.sim.process import Process
 from repro.sim.storage import StableStore, StorageFabric
@@ -107,10 +107,10 @@ class TestNodeRecovery:
         assert net.stats.sent == before
 
 
-def recovery_cluster(seed=1):
+def recovery_cluster(seed=1, delay=ConstantDelay(5e-4)):
     """3-node Multi-Paxos cluster with stable storage for everyone."""
     sim = Simulator(seed=seed)
-    network = Network(sim, delay=ConstantDelay(5e-4))
+    network = Network(sim, delay=delay)
     pids = [0, 1, 2]
     oracle = OracleFailureDetector(sim, pids)
     fabric = StorageFabric()
@@ -132,6 +132,14 @@ def recovery_cluster(seed=1):
     for node in nodes.values():
         node.start()
     return sim, nodes, hosts, make_host, oracle
+
+
+def assert_chosen_slots_hold_no_votes(recovered, survivor):
+    """No vote set for a chosen slot, and every choice the survivor's."""
+    assert recovered._votes.keys().isdisjoint(recovered._chosen)
+    assert survivor._votes.keys().isdisjoint(survivor._chosen)
+    for slot, batch in recovered._chosen.items():
+        assert survivor._chosen[slot] == batch
 
 
 class TestMultiPaxosRecovery:
@@ -160,6 +168,39 @@ class TestMultiPaxosRecovery:
         assert len(full) == 12
         # And it reached the log's end.
         assert recovered and recovered[-1] == full[-1]
+        assert_chosen_slots_hold_no_votes(new_host["h"].abcast, hosts[0].abcast)
+
+    def test_catch_up_of_a_slot_with_votes_drops_them(self, monkeypatch):
+        # Jittered links and a rejoin in the middle of slot 5: one LogAccepted
+        # of slot 5 reaches the new incarnation before the CatchUpReply that
+        # chooses it.
+        voted_then_caught_up = []
+        catch_up = MultiPaxosAbcast._on_catchup_reply
+
+        def spy(self, src, msg):
+            voted_then_caught_up.extend(i for i, _ in msg.entries if i in self._votes)
+            catch_up(self, src, msg)
+
+        monkeypatch.setattr(MultiPaxosAbcast, "_on_catchup_reply", spy)
+        sim, nodes, hosts, make_host, oracle = recovery_cluster(
+            seed=2, delay=UniformDelay(1e-4, 9e-4)
+        )
+        nodes[2].crash_at(0.004)
+        new_host = {}
+
+        def rebuild():
+            new_host["h"] = make_host(2)
+            return new_host["h"]
+
+        nodes[2].recover_at(0.0069, rebuild)
+        sim.run(until=2.0)
+
+        assert voted_then_caught_up == [5]
+        recovered = new_host["h"].abcast
+        assert_chosen_slots_hold_no_votes(recovered, hosts[0].abcast)
+        full = hosts[0].abcast.delivered_ids
+        assert len(full) == 12 and recovered.delivered_ids
+        assert full[-len(recovered.delivered_ids):] == recovered.delivered_ids
 
     def test_recovered_leader_reacquires_leadership_safely(self):
         sim, nodes, hosts, make_host, oracle = recovery_cluster(seed=3)

@@ -1,14 +1,31 @@
 """Unit tests for the consensus/abcast base plumbing (task T2, delivery dedup)."""
 
+import dataclasses
+import pickle
+from typing import Any
+
 import pytest
 
 from repro.core.abcast_base import AppMessage, deterministic_batch_order
 from repro.core.interfaces import ConsensusModule, Decide
+from repro.core.values import canonical_key
 from repro.errors import ConfigurationError
+from repro.protocols.ct_abcast import Disseminate
+from repro.protocols.paxos_abcast import LogAccept
+from repro.protocols.paxos_abcast import Request as PaxosRequest
+from repro.rsm import Command, Request
 from repro.sim.kernel import Simulator
-from repro.sim.network import ConstantDelay, Network
+from repro.sim.network import (
+    RELIABLE,
+    ConstantDelay,
+    Envelope,
+    Network,
+    NetworkStats,
+    _approx_bytes,
+)
 from repro.sim.node import Node
-from repro.sim.process import HostProcess
+from repro.sim.process import HostProcess, Scoped
+from repro.sim.trace import describe_value
 
 
 class Inert(ConsensusModule):
@@ -106,10 +123,66 @@ class TestTaskT2:
             hosts[0].module.set_on_decide(lambda v: None)
 
 
+#: ``AppMessage`` with ``msg_id`` as a property, minted on every read: the
+#: reference that the stored field must be invisible against.
+PropertyAppMessage = dataclasses.make_dataclass(
+    "AppMessage",
+    [("origin", int), ("seq", int), ("payload", Any), ("sent_at", float)],
+    namespace={"msg_id": property(lambda self: (self.origin, self.seq))},
+    frozen=True,
+    slots=True,
+)
+
+MESSAGE_FIELDS = [
+    (2, 7, "x", 1.5),
+    # One sent_at repr is a prefix of the other: a key suffix after it
+    # would flip their canonical_key order.
+    (0, 1, "a", 0.1),
+    (0, 1, "a", 0.15),
+    (1, 1, None, 0.0),
+    (3, 12, (Request(1, 4, Command("set", "k1", value="s1.4")),), 2.000125),
+]
+
+#: How the protocols carry a message: bare, relayed, in a batch, scoped.
+WRAPPERS = [
+    lambda m: m,
+    PaxosRequest,
+    lambda m: LogAccept(0, 1, frozenset({m})),
+    lambda m: Scoped(("cons", 3), Disseminate(m)),
+]
+
+
+def wire_bytes(payload):
+    stats = NetworkStats()
+    stats.record_sent(Envelope(0, 1, payload, RELIABLE, 0.0))
+    return stats.bytes_sent
+
+
 class TestAppMessages:
     def test_msg_id(self):
-        m = AppMessage(2, 7, "x", 1.5)
-        assert m.msg_id == (2, 7)
+        for fields in MESSAGE_FIELDS:
+            self._check_against_reference(fields)
+
+    def _check_against_reference(self, fields):
+        m, ref = AppMessage(*fields), PropertyAppMessage(*fields)
+        assert m.msg_id == ref.msg_id == fields[:2]
+        assert m.msg_id is m.msg_id  # minted once, shared by every reader
+        assert repr(m) == repr(ref)
+        assert hash(m) == hash(ref)
+        assert m == AppMessage(*fields)
+        assert m != AppMessage(*fields[:3], fields[3] + 1)
+        assert canonical_key(m) == canonical_key(ref)
+        assert canonical_key(frozenset({m})) == canonical_key(frozenset({ref}))
+        assert describe_value(m) == describe_value(ref)
+        for wrap in WRAPPERS:
+            assert wire_bytes(wrap(m)) == wire_bytes(wrap(ref)) == _approx_bytes(wrap(ref))
+        with pytest.raises(TypeError):
+            AppMessage(*fields, fields[:2])  # derived, never passed in
+        for copy in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+            assert copy == m and repr(copy) == repr(m)
+            assert copy.msg_id == m.msg_id and copy.msg_id is copy.msg_id
+        moved = dataclasses.replace(m, seq=m.seq + 1)
+        assert moved.msg_id == (m.origin, m.seq + 1)
 
     def test_deterministic_batch_order(self):
         batch = [

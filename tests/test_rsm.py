@@ -442,6 +442,23 @@ class TestExactlyOnceAcrossLeaderCrash:
             assert result.replicas[pid].dedup.suppressed == suppressed
         self._assert_single_application(result)
 
+    def test_planned_submission_never_overtakes_a_retry(self):
+        # Session 5 submits seq 94 to its home p1 at 1.999045 s; p1 crashes
+        # at 2.0 s with 94 in its batcher.  Seq 95+ were planned before the
+        # retry of 94 at 2.005 s: had they reached the new home first, the
+        # per-session high-water mark would make 94 a duplicate everywhere
+        # — suppressed, never applied, never acknowledged.
+        result = run_rsm(RsmRunSpec(
+            "cabcast-l", rate=400, duration=2.2, n=4, clients=8, seed=122,
+            cluster=PAPER_LAN, crash_at=((1, 2.0),), check=True,
+        ))
+        assert result.drivers[5].retries == 1
+        assert 94 in result.drivers[5].acked
+        self._assert_single_application(result)
+        applied = [entry.request.rid for entry in result.replicas[result.authority].audit]
+        assert (5, 94) in applied
+        assert applied.index((5, 94)) < applied.index((5, 95))
+
 
 class TestEngineIntegration:
     def test_execute_run_attaches_rsm_section(self):
