@@ -12,9 +12,9 @@ the mean latency, as contention rises.  The WAB-guided reduction is expected
 to hold on to the one-step path far longer.
 """
 
+from repro.engine import LAN, LAN_CAPACITY, LAN_DATAGRAM
 from repro.harness.abcast_runner import run_abcast
 from repro.harness.factories import cabcast_l, ct_abcast_l
-from repro.workload.experiment import LAN, LAN_CAPACITY, LAN_DATAGRAM
 from repro.workload.generator import poisson_schedule
 from repro.workload.metrics import summarize
 

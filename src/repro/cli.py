@@ -58,6 +58,7 @@ from repro.analysis.complexity import format_table1
 from repro.analysis.textplot import line_chart
 from repro.engine import PAPER_LAN, AbcastRunSpec, ClusterSpec, ConsensusRunSpec
 from repro.engine.runner import run_sweep, sweep_grid
+from repro.errors import ConfigurationError
 from repro.harness.abcast_runner import run_abcast
 from repro.harness.consensus_runner import run_consensus
 from repro.harness.registry import ABCAST, CONSENSUS, PROTOCOLS, protocol_names
@@ -85,6 +86,30 @@ def _add_nemesis_args(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="AT:DUR:PID",
         help="falsely suspect PID for DUR seconds starting at AT (repeatable)",
+    )
+
+
+def _crash_arg(text: str) -> tuple[int, float]:
+    """argparse type of ``--crash``: ``PID@TIME`` (or the older ``PID:TIME``)."""
+    pid_text, sep, time_text = text.partition("@" if "@" in text else ":")
+    try:
+        if not sep:
+            raise ValueError
+        return int(pid_text), float(time_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected PID@TIME (e.g. 2@0.5), got {text!r}"
+        ) from None
+
+
+def _add_crash_arg(parser: argparse.ArgumentParser, who: str = "PID") -> None:
+    parser.add_argument(
+        "--crash",
+        action="append",
+        default=[],
+        type=_crash_arg,
+        metavar="PID@TIME",
+        help=f"crash {who} at TIME seconds (repeatable)",
     )
 
 
@@ -138,13 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated proposals, one per process (defines n)",
     )
     p_cons.add_argument("--seed", type=int, default=0)
-    p_cons.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="PID:TIME",
-        help="crash PID at TIME seconds (repeatable)",
-    )
+    _add_crash_arg(p_cons)
     p_cons.add_argument("--detection-delay", type=float, default=0.0)
 
     p_ab = sub.add_parser("abcast", help="run an atomic-broadcast session")
@@ -217,13 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="crashed replicas rejoin as learners after this delay (<0 disables)",
     )
-    p_rsm.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="PID@TIME",
-        help="crash replica PID at TIME seconds (repeatable)",
-    )
+    _add_crash_arg(p_rsm, "replica PID")
     p_rsm.add_argument(
         "--parallel",
         action="store_true",
@@ -334,13 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_export.add_argument("--rate", type=float, default=100.0, help="aggregate msg/s")
     t_export.add_argument("--duration", type=float, default=0.5)
     t_export.add_argument("--seed", type=int, default=0)
-    t_export.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="PID@TIME",
-        help="crash PID at TIME seconds (repeatable)",
-    )
+    _add_crash_arg(t_export)
     t_export.add_argument(
         "--format",
         choices=("jsonl", "chrome"),
@@ -408,13 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     o_record.add_argument("--duration", type=float, default=0.5)
     o_record.add_argument("--seed", type=int, default=0)
-    o_record.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="PID@TIME",
-        help="crash PID at TIME seconds (repeatable)",
-    )
+    _add_crash_arg(o_record)
     o_record.add_argument(
         "--label", default=None, help="free-form tag stored with the entry"
     )
@@ -524,16 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
     values = args.proposals.split(",")
-    crash_at = []
-    for item in args.crash:
-        pid_text, _, time_text = item.partition(":")
-        crash_at.append((int(pid_text), float(time_text)))
     spec = ConsensusRunSpec(
         protocol=args.protocol,
         proposals=tuple(values),
         seed=args.seed,
         cluster=ClusterSpec(detection_delay=args.detection_delay),
-        crash_at=tuple(crash_at),
+        crash_at=tuple(args.crash),
         horizon=30.0,
     )
     result = run_consensus(spec)
@@ -571,35 +568,19 @@ def _cmd_abcast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_crashes(items: Sequence[str]) -> tuple[tuple[int, float], ...]:
-    """Parse repeatable ``PID@TIME`` (or legacy ``PID:TIME``) crash args."""
-    crash_at = []
-    for item in items:
-        sep = "@" if "@" in item else ":"
-        pid_text, _, time_text = item.partition(sep)
-        crash_at.append((int(pid_text), float(time_text)))
-    return tuple(crash_at)
-
-
 def _cmd_rsm(args: argparse.Namespace) -> int:
     from repro.engine import RsmRunSpec, TopologySpec
     from repro.engine.runner import execute_run
 
-    # Only a non-default topology is spelled out: single-group CLI runs keep
-    # their pre-topology spec dicts (and therefore their cache keys).
+    # --txn-keys alone (no transaction sessions) must not leave the default
+    # spec: the txn fields are spelled out only with a txn workload.
     extra: dict = {}
-    if args.shards != 1 or args.partitioner != "hash":
-        extra["topology"] = TopologySpec(
-            groups=args.shards, partitioner=args.partitioner
-        )
     if args.txn_clients or args.txn_rate:
         extra.update(
             txn_clients=args.txn_clients,
             txn_rate=args.txn_rate,
             txn_keys=args.txn_keys,
         )
-    if args.parallel or args.workers:
-        extra.update(parallel=args.parallel, workers=args.workers)
     spec = RsmRunSpec(
         protocol=args.protocol,
         rate=args.rate,
@@ -614,7 +595,10 @@ def _cmd_rsm(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         recover_after=None if args.recover_after < 0 else args.recover_after,
         cluster=PAPER_LAN,
-        crash_at=_parse_crashes(args.crash),
+        crash_at=tuple(args.crash),
+        topology=TopologySpec(groups=args.shards, partitioner=args.partitioner),
+        parallel=args.parallel,
+        workers=args.workers,
         **extra,
     )
     report = execute_run(spec)
@@ -979,7 +963,7 @@ def _trace_export(args: argparse.Namespace) -> int:
         seed=args.seed,
         drain=2.0,
         cluster=PAPER_LAN,
-        crash_at=_parse_crashes(args.crash),
+        crash_at=tuple(args.crash),
         obs=True,
         nemesis=nemesis,
         # Partitions drop reliable-channel sends for good (no retransmit in
@@ -1191,7 +1175,7 @@ def _obs_record(args: argparse.Namespace) -> int:
             clients=args.clients,
             seed=args.seed,
             cluster=PAPER_LAN,
-            crash_at=_parse_crashes(args.crash),
+            crash_at=tuple(args.crash),
             obs=True,
             nemesis=nemesis,
             topology=TopologySpec(groups=args.shards),
@@ -1207,7 +1191,7 @@ def _obs_record(args: argparse.Namespace) -> int:
             seed=args.seed,
             drain=2.0,
             cluster=PAPER_LAN,
-            crash_at=_parse_crashes(args.crash),
+            crash_at=tuple(args.crash),
             obs=True,
             nemesis=nemesis,
             require_all_delivered=nemesis is None,
@@ -1402,7 +1386,12 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        # A spec the CLI flags describe but the model rejects: a usage error.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

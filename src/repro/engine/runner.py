@@ -186,9 +186,10 @@ def execute_run(
 
     Top-level (picklable) so worker processes can execute it by reference.
     Dispatches on the spec kind, so abcast and RSM cells can share one sweep
-    grid.  ``collect_perf`` additionally times the run against the wall clock
-    and attaches a :mod:`repro.perf` section (``report.perf``); the default
-    path never reads the clock, so normal sweeps are unaffected.
+    grid; an RSM report also carries the ``rsm`` service section.
+    ``collect_perf`` additionally times the run against the wall clock and
+    attaches a :mod:`repro.perf` section (``report.perf``); the default path
+    never reads the clock, so normal sweeps are unaffected.
 
     ``ctx`` lets a caller supply the run's :class:`RunContext` and keep hold
     of the tracer afterwards — ``repro obs record`` uses this to fold the
@@ -196,20 +197,21 @@ def execute_run(
     tracer is rejected for RSM specs (the report's trace counts and commit
     latencies come from it).
     """
-    if isinstance(spec, RsmRunSpec):
-        if ctx is not None and ctx.tracer is None:
-            raise ConfigurationError(
-                "execute_run(ctx=...) for an RSM spec needs a ctx with a tracer"
-            )
-        return _execute_rsm_run(
-            spec, collect_perf=collect_perf, workers_cap=workers_cap, ctx=ctx
+    rsm = isinstance(spec, RsmRunSpec)
+    if ctx is None:
+        tracer = Tracer()
+        ctx = RunContext(tracer=tracer, obs=_obs_runtime(spec, tracer))
+    elif rsm and ctx.tracer is None:
+        raise ConfigurationError(
+            "execute_run(ctx=...) for an RSM spec needs a ctx with a tracer"
         )
-    if ctx is None:
-        tracer = Tracer()
-        ctx = RunContext(tracer=tracer, obs=_obs_runtime(spec, tracer))
-    else:
-        tracer = ctx.tracer
-    obs = ctx.obs
+    tracer = ctx.tracer
+
+    def run():
+        if rsm:
+            return run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
+        return run_abcast_spec(spec, ctx=ctx)
+
     perf = None
     if collect_perf:
         from time import perf_counter
@@ -217,56 +219,7 @@ def execute_run(
         from repro.perf import collect
 
         wall_start = perf_counter()
-        result = run_abcast_spec(spec, ctx=ctx)
-        wall_seconds = perf_counter() - wall_start
-        perf = collect(
-            result.sim,
-            wall_seconds=wall_seconds,
-            network_stats=result.network_stats,
-            nodes=result.nodes,
-            trace_counts=tracer.counts(),
-        ).to_dict()
-    else:
-        result = run_abcast_spec(spec, ctx=ctx)
-    offered, latencies = window_latencies(result, spec.warmup, spec.duration)
-    return RunReport(
-        spec=spec,
-        key=spec.cache_key(),
-        offered=offered,
-        delivered=len(latencies),
-        latencies=tuple(latencies),
-        summary=summarize(latencies),
-        network=result.network_stats,
-        trace_counts=tracer.counts(),
-        sim_time=result.duration,
-        perf=perf,
-        obs=obs.section() if obs is not None else None,
-    )
-
-
-def _execute_rsm_run(
-    spec: RsmRunSpec,
-    collect_perf: bool = False,
-    workers_cap: int | None = None,
-    ctx: RunContext | None = None,
-) -> RunReport:
-    """Run one RSM spec into a :class:`RunReport` with an ``rsm`` section."""
-    from repro.rsm.runner import service_metrics, window_commit_latencies
-
-    if ctx is None:
-        tracer = Tracer()
-        ctx = RunContext(tracer=tracer, obs=_obs_runtime(spec, tracer))
-    else:
-        tracer = ctx.tracer
-    obs = ctx.obs
-    perf = None
-    if collect_perf:
-        from time import perf_counter
-
-        from repro.perf import collect
-
-        wall_start = perf_counter()
-        result = run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
+        result = run()
         wall_seconds = perf_counter() - wall_start
         perf = collect(
             result.sim,
@@ -277,8 +230,15 @@ def _execute_rsm_run(
             parallel=getattr(result, "parallel_stats", None),
         ).to_dict()
     else:
-        result = run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
-    offered, latencies = window_commit_latencies(result)
+        result = run()
+    service = None
+    if rsm:
+        from repro.rsm.runner import service_metrics, window_commit_latencies
+
+        offered, latencies = window_commit_latencies(result)
+        service = service_metrics(result)
+    else:
+        offered, latencies = window_latencies(result, spec.warmup, spec.duration)
     return RunReport(
         spec=spec,
         key=spec.cache_key(),
@@ -290,8 +250,8 @@ def _execute_rsm_run(
         trace_counts=tracer.counts(),
         sim_time=result.duration,
         perf=perf,
-        rsm=service_metrics(result),
-        obs=obs.section() if obs is not None else None,
+        rsm=service,
+        obs=ctx.obs.section() if ctx.obs is not None else None,
     )
 
 
@@ -605,8 +565,8 @@ def rsm_sweep_grid(
     (shard count, group size, repeat), all at the same offered rate, so
     BENCH/EXPERIMENTS can plot aggregate ops/s against the shard count.
     Cells repeat with seeds ``seed + 1000 × repeat``, mirroring the
-    historical repeat derivation.  Single-cell topologies (1 × n) keep the
-    default ``TopologySpec`` and therefore the PR-5 cache keys.
+    historical repeat derivation.  A 1-shard hash-partitioned cell is the
+    default ``TopologySpec``, so it shares single-group cache entries.
     """
     cluster = cluster if cluster is not None else ClusterSpec()
     specs: list[RsmRunSpec] = []
@@ -624,11 +584,7 @@ def rsm_sweep_grid(
                         warmup=warmup,
                         keys=keys,
                         cluster=cluster,
-                        topology=(
-                            TopologySpec()
-                            if groups == 1 and partitioner == "hash"
-                            else TopologySpec(groups=groups, partitioner=partitioner)
-                        ),
+                        topology=TopologySpec(groups=groups, partitioner=partitioner),
                         txn_clients=txn_clients,
                         txn_rate=txn_rate,
                         txn_keys=txn_keys,

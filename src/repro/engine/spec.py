@@ -19,19 +19,18 @@ The family:
   single group up to a sharded multi-group deployment with cross-shard
   transactions.
 
-This module also pins the paper's testbed calibration (the ``LAN*``
-presets previously owned by :mod:`repro.workload.experiment`, which still
-re-exports them).
+Their JSON form comes from :mod:`repro.codec`: each class lists only its
+omit-groups — fields written only when set, so that specs older than the
+field keep their exact cache keys.  This module also pins the paper's
+testbed calibration (the ``LAN*`` presets).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.codec import Encoded, content_key, register_models, tagged
 from repro.errors import ConfigurationError
 from repro.nemesis.spec import NemesisSpec
 from repro.sim.network import (
@@ -85,49 +84,21 @@ LAN_CAPACITY = LinkCapacity(frame_time=50e-6, mode="switched")
 DEFAULT_SERVICE_TIME = 20e-6
 
 
-# --------------------------------------------------------- model serialisation
-
-_MODEL_TYPES: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        ConstantDelay,
-        UniformDelay,
-        ExponentialDelay,
-        LogNormalDelay,
-        LanDelay,
-        LinkCapacity,
-    )
-}
-
-
-def _encode_model(model: Any) -> dict | None:
-    """Encode a delay/capacity model as ``{"type": ..., **fields}``."""
-    if model is None:
-        return None
-    name = type(model).__name__
-    if name not in _MODEL_TYPES:
-        raise ConfigurationError(
-            f"cannot serialise model {name!r}; specs accept: {sorted(_MODEL_TYPES)}"
-        )
-    return {"type": name, **dataclasses.asdict(model)}
-
-
-def _decode_model(data: dict | None) -> Any:
-    if data is None:
-        return None
-    fields = dict(data)
-    name = fields.pop("type")
-    cls = _MODEL_TYPES.get(name)
-    if cls is None:
-        raise ConfigurationError(f"unknown model type {name!r} in spec")
-    return cls(**fields)
+register_models(
+    ConstantDelay,
+    UniformDelay,
+    ExponentialDelay,
+    LogNormalDelay,
+    LanDelay,
+    LinkCapacity,
+)
 
 
 # ----------------------------------------------------------------------- specs
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Encoded):
     """Network and fault model of a simulated cluster (group size excluded —
     that belongs to the run).  ``None`` delays mean the simulator defaults.
 
@@ -143,29 +114,6 @@ class ClusterSpec:
     service_time: float = 0.0
     detection_delay: float = 0.0
     initially_crashed: tuple[int, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "delay": _encode_model(self.delay),
-            "datagram_delay": _encode_model(self.datagram_delay),
-            "datagram_loss": self.datagram_loss,
-            "capacity": _encode_model(self.capacity),
-            "service_time": self.service_time,
-            "detection_delay": self.detection_delay,
-            "initially_crashed": list(self.initially_crashed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSpec":
-        return cls(
-            delay=_decode_model(data["delay"]),
-            datagram_delay=_decode_model(data["datagram_delay"]),
-            datagram_loss=data["datagram_loss"],
-            capacity=_decode_model(data["capacity"]),
-            service_time=data["service_time"],
-            detection_delay=data["detection_delay"],
-            initially_crashed=tuple(data["initially_crashed"]),
-        )
 
 
 #: The paper's Figure-2/3 testbed: TCP + UDP LAN models, switched 100 Mb
@@ -183,7 +131,7 @@ PARTITIONERS = ("hash", "range")
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Encoded):
     """How a service run is laid out over consensus groups.
 
     The topology is the *first* question a production deployment answers —
@@ -225,36 +173,6 @@ class TopologySpec:
         """Members per group, with ``n`` as the inherited default."""
         return self.group_size if self.group_size is not None else n
 
-    def to_dict(self) -> dict:
-        return {
-            "groups": self.groups,
-            "group_size": self.group_size,
-            "partitioner": self.partitioner,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict | None) -> "TopologySpec":
-        if data is None:
-            return cls()
-        return cls(
-            groups=data["groups"],
-            group_size=data["group_size"],
-            partitioner=data["partitioner"],
-        )
-
-
-def _append_obs(spec: Any, body: dict) -> dict:
-    """Serialize the observability field group only when any is non-default.
-
-    Keeping the keys out of the default serialization preserves cache keys
-    and report JSON for every pre-observability spec byte-for-byte.
-    """
-    if spec.obs or spec.obs_metrics_interval or spec.obs_flight_recorder:
-        body["obs"] = spec.obs
-        body["obs_metrics_interval"] = spec.obs_metrics_interval
-        body["obs_flight_recorder"] = spec.obs_flight_recorder
-    return body
-
 
 def _validate_obs(spec: Any) -> None:
     if spec.obs_metrics_interval < 0:
@@ -263,55 +181,32 @@ def _validate_obs(spec: Any) -> None:
         raise ConfigurationError("obs_flight_recorder must be >= 0")
 
 
-def _append_batch(spec: Any, body: dict) -> dict:
-    """Serialize the kernel-batching flag only when it departs from True.
-
-    ``batch`` selects the sorted-cohort kernel drain and the network fan-out
-    fast path; both produce byte-identical results to the serial loops, so
-    the default stays out of the dict and every pre-batching spec keeps its
-    exact cache key and JSON form.
-    """
-    if not spec.batch:
-        body["batch"] = False
-    return body
+_OBS = ("obs", "obs_metrics_interval", "obs_flight_recorder")
 
 
-def _append_nemesis(spec: Any, body: dict) -> dict:
-    """Serialize the nemesis schedule only when one is attached (non-empty).
+class _RunSpec(Encoded):
+    """Common base of the run specs: ``kind``-tagged, content-addressed;
+    fields added after the first cache keys sit in omit-groups."""
 
-    A spec without faults keeps its exact pre-nemesis dict form, cache key
-    and report JSON — the ``nemesis`` key simply never appears.
-    """
-    if spec.nemesis:
-        body["nemesis"] = spec.nemesis.to_dict()
-    return body
+    tag = "kind"
+    tag_label = "spec kind"
+    omit = (_OBS, ("batch",), ("nemesis",))
 
-
-def _decode_nemesis(data: dict) -> NemesisSpec | None:
-    raw = data.get("nemesis")
-    if not raw or not raw.get("ops"):
-        return None
-    return NemesisSpec.from_dict(raw)
-
-
-def _hash_payload(kind: str, body: dict) -> str:
-    canonical = json.dumps(
-        {"version": SPEC_VERSION, "kind": kind, **body},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def cache_key(self) -> str:
+        """Stable content address of this run's result."""
+        return content_key({"version": SPEC_VERSION, **self.to_dict()})
 
 
 @dataclass(frozen=True)
-class AbcastRunSpec:
+class AbcastRunSpec(_RunSpec):
     """One atomic-broadcast run: protocol × cluster × workload × seed.
 
     The measurement window is ``[warmup, duration]``; the simulation horizon
     is ``duration + drain`` so in-flight messages can finish.  Workload
     payloads must stay JSON-representable for the spec to be hashable.
     """
+
+    kind = "abcast"
 
     protocol: str
     rate: float
@@ -350,58 +245,12 @@ class AbcastRunSpec:
     def horizon(self) -> float:
         return self.duration + self.drain
 
-    def to_dict(self) -> dict:
-        body = {
-            "kind": "abcast",
-            "protocol": self.protocol,
-            "rate": self.rate,
-            "duration": self.duration,
-            "n": self.n,
-            "seed": self.seed,
-            "warmup": self.warmup,
-            "drain": self.drain,
-            "workload": self.workload,
-            "cluster": self.cluster.to_dict(),
-            "crash_at": [list(item) for item in self.crash_at],
-            "check": self.check,
-            "require_all_delivered": self.require_all_delivered,
-            "max_events": self.max_events,
-        }
-        return _append_nemesis(self, _append_batch(self, _append_obs(self, body)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AbcastRunSpec":
-        return cls(
-            protocol=data["protocol"],
-            rate=data["rate"],
-            duration=data["duration"],
-            n=data["n"],
-            seed=data["seed"],
-            warmup=data["warmup"],
-            drain=data["drain"],
-            workload=data["workload"],
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            crash_at=tuple((pid, at) for pid, at in data["crash_at"]),
-            check=data["check"],
-            require_all_delivered=data["require_all_delivered"],
-            max_events=data["max_events"],
-            obs=data.get("obs", False),
-            obs_metrics_interval=data.get("obs_metrics_interval", 0.0),
-            obs_flight_recorder=data.get("obs_flight_recorder", 0),
-            batch=data.get("batch", True),
-            nemesis=_decode_nemesis(data),
-        )
-
-    def cache_key(self) -> str:
-        """Stable content address of this run's result."""
-        body = self.to_dict()
-        del body["kind"]
-        return _hash_payload("abcast", body)
-
 
 @dataclass(frozen=True)
-class ConsensusRunSpec:
+class ConsensusRunSpec(_RunSpec):
     """One consensus instance; process ``i`` proposes ``proposals[i]``."""
+
+    kind = "consensus"
 
     protocol: str
     proposals: tuple[Any, ...]
@@ -427,48 +276,9 @@ class ConsensusRunSpec:
     def n(self) -> int:
         return len(self.proposals)
 
-    def to_dict(self) -> dict:
-        body = {
-            "kind": "consensus",
-            "protocol": self.protocol,
-            "proposals": list(self.proposals),
-            "seed": self.seed,
-            "cluster": self.cluster.to_dict(),
-            "crash_at": [list(item) for item in self.crash_at],
-            "propose_at": [list(item) for item in self.propose_at],
-            "horizon": self.horizon,
-            "check": self.check,
-            "require_all_alive_decide": self.require_all_alive_decide,
-        }
-        return _append_nemesis(self, _append_batch(self, _append_obs(self, body)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConsensusRunSpec":
-        return cls(
-            protocol=data["protocol"],
-            proposals=tuple(data["proposals"]),
-            seed=data["seed"],
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            crash_at=tuple((pid, at) for pid, at in data["crash_at"]),
-            propose_at=tuple((pid, at) for pid, at in data["propose_at"]),
-            horizon=data["horizon"],
-            check=data["check"],
-            require_all_alive_decide=data["require_all_alive_decide"],
-            obs=data.get("obs", False),
-            obs_metrics_interval=data.get("obs_metrics_interval", 0.0),
-            obs_flight_recorder=data.get("obs_flight_recorder", 0),
-            batch=data.get("batch", True),
-            nemesis=_decode_nemesis(data),
-        )
-
-    def cache_key(self) -> str:
-        body = self.to_dict()
-        del body["kind"]
-        return _hash_payload("consensus", body)
-
 
 @dataclass(frozen=True)
-class RsmRunSpec:
+class RsmRunSpec(_RunSpec):
     """One replicated-state-machine service run (see :mod:`repro.rsm`).
 
     ``clients`` sessions drive ``n`` replicas of a KV state machine over the
@@ -484,10 +294,15 @@ class RsmRunSpec:
     replica pids run ``0 .. groups×group_size-1`` (``crash_at`` names those
     global pids).  ``txn_clients``/``txn_rate`` add closed-loop transaction
     sessions issuing multi-key cross-shard transactions (``txn_keys`` keys
-    each) via two-phase commit over the groups.  All of these serialize
-    only when non-default, so single-group specs keep their exact pre-shard
-    cache keys and JSON.
+    each) via two-phase commit over the groups.  The topology and
+    transaction fields form one omit-group, ``parallel``/``workers``
+    another, so single-group serial specs keep their exact pre-shard cache
+    keys and JSON.
     """
+
+    kind = "rsm"
+    omit = (("topology", "txn_clients", "txn_rate", "txn_keys"), _OBS, ("batch",),
+            ("parallel", "workers"), ("nemesis",))
 
     protocol: str
     rate: float
@@ -593,101 +408,10 @@ class RsmRunSpec:
     def horizon(self) -> float:
         return self.duration + self.drain
 
-    def to_dict(self) -> dict:
-        body = {
-            "kind": "rsm",
-            "protocol": self.protocol,
-            "rate": self.rate,
-            "duration": self.duration,
-            "n": self.n,
-            "clients": self.clients,
-            "seed": self.seed,
-            "warmup": self.warmup,
-            "drain": self.drain,
-            "workload": self.workload,
-            "keys": self.keys,
-            "batch_max": self.batch_max,
-            "batch_delay": self.batch_delay,
-            "snapshot_every": self.snapshot_every,
-            "catchup_interval": self.catchup_interval,
-            "failover_delay": self.failover_delay,
-            "recover_after": self.recover_after,
-            "cluster": self.cluster.to_dict(),
-            "crash_at": [list(item) for item in self.crash_at],
-            "check": self.check,
-            "max_events": self.max_events,
-        }
-        # The topology field group serializes only when any member departs
-        # from the defaults: single-group specs keep their exact pre-shard
-        # dict form, cache keys and report JSON.
-        if not (
-            self.topology.is_default
-            and self.txn_clients == 0
-            and self.txn_rate == 0.0
-            and self.txn_keys == 2
-        ):
-            body["topology"] = self.topology.to_dict()
-            body["txn_clients"] = self.txn_clients
-            body["txn_rate"] = self.txn_rate
-            body["txn_keys"] = self.txn_keys
-        # Parallel execution is a different (still deterministic) sample of
-        # the workload — per-shard RNG streams instead of one shared kernel
-        # stream — so it must cache separately; serial specs keep their
-        # exact pre-parallel dict form and cache keys.
-        if self.parallel or self.workers:
-            body["parallel"] = self.parallel
-            body["workers"] = self.workers
-        return _append_nemesis(self, _append_batch(self, _append_obs(self, body)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RsmRunSpec":
-        return cls(
-            protocol=data["protocol"],
-            rate=data["rate"],
-            duration=data["duration"],
-            n=data["n"],
-            clients=data["clients"],
-            seed=data["seed"],
-            warmup=data["warmup"],
-            drain=data["drain"],
-            workload=data["workload"],
-            keys=data["keys"],
-            batch_max=data["batch_max"],
-            batch_delay=data["batch_delay"],
-            snapshot_every=data["snapshot_every"],
-            catchup_interval=data["catchup_interval"],
-            failover_delay=data["failover_delay"],
-            recover_after=data["recover_after"],
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            crash_at=tuple((pid, at) for pid, at in data["crash_at"]),
-            check=data["check"],
-            max_events=data["max_events"],
-            topology=TopologySpec.from_dict(data.get("topology")),
-            txn_clients=data.get("txn_clients", 0),
-            txn_rate=data.get("txn_rate", 0.0),
-            txn_keys=data.get("txn_keys", 2),
-            obs=data.get("obs", False),
-            obs_metrics_interval=data.get("obs_metrics_interval", 0.0),
-            obs_flight_recorder=data.get("obs_flight_recorder", 0),
-            batch=data.get("batch", True),
-            parallel=data.get("parallel", False),
-            workers=data.get("workers", 0),
-            nemesis=_decode_nemesis(data),
-        )
-
-    def cache_key(self) -> str:
-        body = self.to_dict()
-        del body["kind"]
-        return _hash_payload("rsm", body)
+_decode_spec = tagged((AbcastRunSpec, ConsensusRunSpec, RsmRunSpec))
 
 
 def spec_from_dict(data: dict) -> "AbcastRunSpec | ConsensusRunSpec | RsmRunSpec":
     """Rebuild a spec from its JSON dict form (inverse of ``to_dict``)."""
-    kind = data.get("kind")
-    if kind == "abcast":
-        return AbcastRunSpec.from_dict(data)
-    if kind == "consensus":
-        return ConsensusRunSpec.from_dict(data)
-    if kind == "rsm":
-        return RsmRunSpec.from_dict(data)
-    raise ConfigurationError(f"unknown spec kind {kind!r}")
+    return _decode_spec(data)

@@ -35,11 +35,10 @@ to kernel events against a live simulation.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from repro.codec import Encoded, content_key, tagged
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -72,8 +71,21 @@ def _check_probability(op: Any, p: float) -> None:
         raise ConfigurationError(f"{op.op} op probability must be in (0, 1], got {p}")
 
 
+class _Op(Encoded):
+    """Common base of the fault ops.  Their dicts keep insertion order —
+    ``op``, the fields, then the matchers — as trace records embed them."""
+
+    __slots__ = ()
+    tag = "op"
+    tag_label = "nemesis op"
+
+
+#: A message-matching op's ``src``/``dst``/``channel``, each written if set.
+_MATCHERS = (("src",), ("dst",), ("channel",))
+
+
 @dataclass(frozen=True, slots=True)
-class PartitionOp:
+class PartitionOp(_Op):
     """Split the network into ``groups`` at ``at``; heal at ``at + duration``.
 
     Groups are sets of pids; messages only flow within a group while the
@@ -94,25 +106,9 @@ class PartitionOp:
             raise ConfigurationError("partition op needs at least one non-empty group")
         object.__setattr__(self, "groups", canonical)
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "at": self.at,
-            "duration": self.duration,
-            "groups": [list(g) for g in self.groups],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartitionOp":
-        return cls(
-            at=data["at"],
-            duration=data["duration"],
-            groups=tuple(tuple(g) for g in data["groups"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class CrashOp:
+class CrashOp(_Op):
     """Crash-stop process ``pid`` at ``at`` (the paper's fault model)."""
 
     at: float
@@ -123,27 +119,9 @@ class CrashOp:
     def __post_init__(self) -> None:
         _check_window(self)
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, "at": self.at, "pid": self.pid}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CrashOp":
-        return cls(at=data["at"], pid=data["pid"])
-
-
-def _match_fields(op: Any) -> dict:
-    out: dict = {}
-    if op.src is not None:
-        out["src"] = op.src
-    if op.dst is not None:
-        out["dst"] = op.dst
-    if op.channel is not None:
-        out["channel"] = op.channel
-    return out
-
 
 @dataclass(frozen=True, slots=True)
-class DropOp:
+class DropOp(_Op):
     """Drop matching messages with probability ``p`` during the window.
 
     ``src``/``dst``/``channel`` of ``None`` match anything.  Reliable
@@ -159,34 +137,15 @@ class DropOp:
     channel: str | None = None
 
     op = "drop"
+    omit = _MATCHERS
 
     def __post_init__(self) -> None:
         _check_window(self)
         _check_probability(self, self.p)
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "at": self.at,
-            "duration": self.duration,
-            "p": self.p,
-            **_match_fields(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DropOp":
-        return cls(
-            at=data["at"],
-            duration=data["duration"],
-            p=data["p"],
-            src=data.get("src"),
-            dst=data.get("dst"),
-            channel=data.get("channel"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class DelayOp:
+class DelayOp(_Op):
     """Add ``extra`` (+ exponential ``jitter``) seconds to matching messages.
 
     On the datagram channel added jitter reorders arrivals; on the reliable
@@ -203,6 +162,7 @@ class DelayOp:
     channel: str | None = None
 
     op = "delay"
+    omit = _MATCHERS
 
     def __post_init__(self) -> None:
         _check_window(self)
@@ -211,31 +171,9 @@ class DelayOp:
         if self.extra == 0.0 and self.jitter == 0.0:
             raise ConfigurationError("delay op needs extra > 0 or jitter > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "at": self.at,
-            "duration": self.duration,
-            "extra": self.extra,
-            "jitter": self.jitter,
-            **_match_fields(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DelayOp":
-        return cls(
-            at=data["at"],
-            duration=data["duration"],
-            extra=data["extra"],
-            jitter=data["jitter"],
-            src=data.get("src"),
-            dst=data.get("dst"),
-            channel=data.get("channel"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class DupOp:
+class DupOp(_Op):
     """Duplicate matching messages with probability ``p`` during the window.
 
     The duplicate is re-submitted to the network at the moment of the
@@ -252,34 +190,15 @@ class DupOp:
     channel: str | None = None
 
     op = "dup"
+    omit = _MATCHERS
 
     def __post_init__(self) -> None:
         _check_window(self)
         _check_probability(self, self.p)
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "at": self.at,
-            "duration": self.duration,
-            "p": self.p,
-            **_match_fields(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DupOp":
-        return cls(
-            at=data["at"],
-            duration=data["duration"],
-            p=data["p"],
-            src=data.get("src"),
-            dst=data.get("dst"),
-            channel=data.get("channel"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class FdFlapOp:
+class FdFlapOp(_Op):
     """Failure-detector instability: falsely suspect ``pid`` for the window.
 
     The oracle detector reports ``pid`` crashed at ``at`` and (if the node
@@ -297,16 +216,9 @@ class FdFlapOp:
     def __post_init__(self) -> None:
         _check_window(self)
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, "at": self.at, "duration": self.duration, "pid": self.pid}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FdFlapOp":
-        return cls(at=data["at"], duration=data["duration"], pid=data["pid"])
-
 
 @dataclass(frozen=True, slots=True)
-class CpuSkewOp:
+class CpuSkewOp(_Op):
     """Scale/offset ``pid``'s per-event CPU cost for the window.
 
     ``cost = old * factor + extra`` while the window is open.  This is the
@@ -331,47 +243,22 @@ class CpuSkewOp:
         if self.factor == 1.0 and self.extra == 0.0:
             raise ConfigurationError("cpu-skew op needs factor != 1 or extra > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "at": self.at,
-            "duration": self.duration,
-            "pid": self.pid,
-            "factor": self.factor,
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CpuSkewOp":
-        return cls(
-            at=data["at"],
-            duration=data["duration"],
-            pid=data["pid"],
-            factor=data["factor"],
-            extra=data["extra"],
-        )
-
 
 NemesisOp = (
     PartitionOp | CrashOp | DropOp | DelayOp | DupOp | FdFlapOp | CpuSkewOp
 )
 
-_OP_TYPES: dict[str, type] = {
-    cls.op: cls
-    for cls in (PartitionOp, CrashOp, DropOp, DelayOp, DupOp, FdFlapOp, CpuSkewOp)
-}
+_OP_TYPES = (PartitionOp, CrashOp, DropOp, DelayOp, DupOp, FdFlapOp, CpuSkewOp)
+_decode_op = tagged(_OP_TYPES)
 
 
 def op_from_dict(data: dict) -> NemesisOp:
     """Rebuild one fault op from its JSON dict form."""
-    cls = _OP_TYPES.get(data.get("op"))
-    if cls is None:
-        raise ConfigurationError(f"unknown nemesis op {data.get('op')!r}")
-    return cls.from_dict(data)
+    return _decode_op(data)
 
 
 @dataclass(frozen=True)
-class NemesisSpec:
+class NemesisSpec(Encoded):
     """An ordered, frozen schedule of fault ops for one run.
 
     Attach to a run spec (``AbcastRunSpec(..., nemesis=schedule)`` and
@@ -385,9 +272,7 @@ class NemesisSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            if type(op).__name__ not in {
-                cls.__name__ for cls in _OP_TYPES.values()
-            }:
+            if type(op).__name__ not in {cls.__name__ for cls in _OP_TYPES}:
                 raise ConfigurationError(
                     f"nemesis schedule holds a non-op value: {op!r}"
                 )
@@ -430,24 +315,11 @@ class NemesisSpec:
                 named.update(group)
         return frozenset(named)
 
-    def to_dict(self) -> dict:
-        return {"ops": [op.to_dict() for op in self.ops]}
-
-    @classmethod
-    def from_dict(cls, data: dict | None) -> "NemesisSpec":
-        if data is None:
-            return cls()
-        return cls(ops=tuple(op_from_dict(item) for item in data["ops"]))
-
     def cache_key(self) -> str:
         """Stable content address of this schedule."""
-        canonical = json.dumps(
-            {"version": NEMESIS_VERSION, "kind": "nemesis", **self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
+        return content_key(
+            {"version": NEMESIS_VERSION, "kind": "nemesis", **self.to_dict()}
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def crash_storm(

@@ -1,7 +1,6 @@
 """Workload generation and measurement for the evaluation experiments."""
 
 from repro.workload.experiment import (
-    LAN,
     PAPER_THROUGHPUTS,
     SweepPoint,
     latency_vs_throughput,
@@ -10,7 +9,6 @@ from repro.workload.generator import burst_schedule, poisson_schedule, uniform_s
 from repro.workload.metrics import LatencySummary, summarize
 
 __all__ = [
-    "LAN",
     "PAPER_THROUGHPUTS",
     "SweepPoint",
     "latency_vs_throughput",

@@ -12,8 +12,7 @@ Execution is delegated to :mod:`repro.engine` whenever the protocol factory
 is registry-known (pass ``jobs``/``cache`` to parallelise runs across
 processes and reuse results by spec hash); unregistered ad-hoc factories
 fall back to an in-process serial loop with identical semantics.  The
-``LAN*`` testbed presets live in :mod:`repro.engine.spec` and are
-re-exported here for compatibility.
+defaults are the ``LAN*`` testbed presets of :mod:`repro.engine.spec`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.engine.spec import (  # noqa: F401 — re-exported presets
+from repro.engine.spec import (
     DEFAULT_SERVICE_TIME,
     LAN,
     LAN_CAPACITY,
@@ -32,15 +31,7 @@ from repro.engine.spec import (  # noqa: F401 — re-exported presets
 )
 from repro.workload.metrics import LatencySummary, summarize
 
-__all__ = [
-    "SweepPoint",
-    "latency_vs_throughput",
-    "PAPER_THROUGHPUTS",
-    "LAN",
-    "LAN_DATAGRAM",
-    "LAN_CAPACITY",
-    "DEFAULT_SERVICE_TIME",
-]
+__all__ = ["SweepPoint", "latency_vs_throughput", "PAPER_THROUGHPUTS"]
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,40 @@ class TestCli:
         assert "rejoined" not in out
 
 
+class TestCliBadInput:
+    """Malformed flags end in a one-line usage error (exit 2), never a
+    traceback."""
+
+    def test_consensus_takes_the_pid_at_time_spelling(self, capsys):
+        code = main(
+            [
+                "consensus",
+                "--protocol",
+                "l-consensus",
+                "--crash",
+                "0@0.0001",
+                "--detection-delay",
+                "0.002",
+            ]
+        )
+        assert code == 0
+        assert "crashed  : [0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["2", "x@0.1", "1@soon"])
+    def test_malformed_crash_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["rsm", "--crash", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --crash: expected PID@TIME (e.g. 2@0.5), got {value!r}" in err
+
+    def test_rejected_spec_is_a_one_line_error(self, capsys):
+        assert main(["rsm", "--crash", "9@0.1", "--duration", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: crash_at names unknown replica 9\n"
+        assert captured.out == ""
+
+
 class TestTraceCli:
     EXPORT = [
         "trace",
