@@ -173,8 +173,11 @@ class ConsensusInstances(dict):
     nothing left to do once it has decided, so the decision upcall
     calls its :meth:`~repro.core.interfaces.ConsensusModule.retire` and puts
     :data:`RETIRED` in its place; the module, its scoped environment and its
-    PROP table are then garbage, and the map holds live modules only for the
-    rounds in flight.  Other modules (an acceptor must keep answering) stay.
+    PROP table are then garbage.  Rounds number from 1, and the retired
+    rounds contiguous from there are deleted behind a floor: below it a
+    lookup answers :data:`RETIRED` without storing it, so late traffic still
+    re-creates nothing and the map holds the rounds in flight only.  Other
+    modules (an acceptor must keep answering) stay, and hold the floor.
     Either way the decision is counted in :attr:`tally` and then handed to
     ``on_decided(k, value)``.
 
@@ -200,11 +203,15 @@ class ConsensusInstances(dict):
         self._factory = factory
         self._on_decided = on_decided
         self.tracer = None
+        #: Every round below this one is retired and gone from the map.
+        self._floor = 1
         #: ``{(via, steps): decisions}`` — the part of every instance's
         #: :class:`~repro.core.interfaces.DecisionRecord` that outlives it.
         self.tally: Counter[tuple[str, int]] = Counter()
 
     def __missing__(self, k: int) -> ConsensusModule:
+        if k < self._floor:
+            return RETIRED
         instance = self._factory(ScopedEnvironment(self._env, ("cons", k)))
         instance.set_on_decide(partial(self._decided, k))
         if self.tracer is not None:
@@ -223,4 +230,7 @@ class ConsensusInstances(dict):
         if instance.inert_once_decided:
             instance.retire()
             self[k] = RETIRED
+            while self.get(self._floor) is RETIRED:
+                del self[self._floor]
+                self._floor += 1
         self._on_decided(k, value)

@@ -35,7 +35,7 @@ from repro.engine.spec import (
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.registry import ABCAST, CONSENSUS, get_protocol
-from repro.sim.trace import Tracer
+from repro.sim.trace import CountingTracer, Tracer
 from repro.workload.metrics import summarize
 
 __all__ = [
@@ -141,18 +141,23 @@ def run_rsm_spec(
     return run_rsm(spec, ctx=ctx, workers_cap=workers_cap)
 
 
-def _obs_runtime(spec, tracer: Tracer):
-    """The spec's :class:`~repro.obs.ObsRuntime`, or ``None`` when all obs
-    knobs sit at their defaults (the import itself is then skipped too)."""
+def _own_context(spec) -> RunContext:
+    """The context of a run whose caller supplied none.
+
+    With every obs knob at its default, nothing outside :func:`execute_run`
+    can read the run's records and the report reads only their counts, so
+    the tracer only counts (and the obs import is skipped).  Otherwise the
+    spec's :class:`~repro.obs.ObsRuntime` brings a recording tracer.
+    """
     if not (
         getattr(spec, "obs", False)
         or getattr(spec, "obs_metrics_interval", 0.0)
         or getattr(spec, "obs_flight_recorder", 0)
     ):
-        return None
+        return RunContext(tracer=CountingTracer())
     from repro.obs import ObsRuntime
 
-    return ObsRuntime.from_spec(spec, tracer=tracer)
+    return RunContext(obs=ObsRuntime.from_spec(spec))
 
 
 def _build_schedules(spec: AbcastRunSpec):
@@ -193,14 +198,15 @@ def execute_run(
 
     ``ctx`` lets a caller supply the run's :class:`RunContext` and keep hold
     of the tracer afterwards — ``repro obs record`` uses this to fold the
-    trace into a warehouse entry alongside the report.  A ctx without a
-    tracer is rejected for RSM specs (the report's trace counts and commit
-    latencies come from it).
+    trace into a warehouse entry alongside the report.  Without one, a run
+    with no obs knob set traces into a :class:`CountingTracer`: the report
+    is byte-identical to a recording run's.  A ctx without a tracer is
+    rejected for RSM specs (the report's trace counts come from it; commit
+    latencies come from the session drivers).
     """
     rsm = isinstance(spec, RsmRunSpec)
     if ctx is None:
-        tracer = Tracer()
-        ctx = RunContext(tracer=tracer, obs=_obs_runtime(spec, tracer))
+        ctx = _own_context(spec)
     elif rsm and ctx.tracer is None:
         raise ConfigurationError(
             "execute_run(ctx=...) for an RSM spec needs a ctx with a tracer"

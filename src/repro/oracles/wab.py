@@ -74,6 +74,11 @@ class WabOracle:
         self._deliver = deliver
         self.repeats = repeats
         self._seq = 0
+        # Kept for the whole run, closed instances included: uniform
+        # integrity must hold exactly under ``repeats`` and nemesis
+        # duplicates, whose copies each take their own unbounded delay.
+        # Forgetting a closed instance would deliver a late copy again, and
+        # C-Abcast would fold its payload into the estimate.
         self._seen: set[WabMessage] = set()
         self._positions: dict[int, int] = {}
         self.broadcasts = 0

@@ -82,9 +82,15 @@ class WabCast(AbcastModule):
         self.inner = 1
         self.state = _IDLE
         self.estimate: set[AppMessage] = set()
+        # Keyed by rounds at or above ``self.round`` only: a delivered
+        # round's entries go when it is delivered, and its late traffic
+        # stores nothing.
         self._first: dict[tuple[int, int], frozenset] = {}
         self._checks: dict[tuple[int, int], dict[int, frozenset]] = {}
         self._decisions: dict[int, frozenset] = {}
+        #: Delivered rounds a late ``WabDecision`` has arrived for (see
+        #: :meth:`_late_decision`).
+        self._late_decided: set[int] = set()
         self.inner_rounds_run = 0  # metric: > rounds_completed ⇒ collisions hit
         self.rounds_completed = 0
 
@@ -92,6 +98,8 @@ class WabCast(AbcastModule):
 
     def on_message(self, src: int, msg: Any) -> None:
         if isinstance(msg, WabCheck):
+            if msg.round < self.round:
+                return
             self._checks.setdefault((msg.round, msg.inner), {})[src] = msg.value
             if (
                 self.state == _AWAIT_CHECKS
@@ -100,7 +108,9 @@ class WabCast(AbcastModule):
             ):
                 self._tally()
         elif isinstance(msg, WabDecision):
-            if msg.round not in self._decisions:
+            if msg.round < self.round:
+                self._late_decision(msg.round)
+            elif msg.round not in self._decisions:
                 self._decisions[msg.round] = msg.value
                 self._drain()
         else:
@@ -113,8 +123,24 @@ class WabCast(AbcastModule):
         if self.state == _IDLE:
             self._start_inner(frozenset(self.estimate))
 
+    def _late_decision(self, k: int) -> None:
+        """A ``WabDecision`` for round ``k``, already delivered here.
+
+        Known defect, kept because fixing it changes simulated output
+        (docs/PROTOCOLS.md): the first late decision of a round runs
+        :meth:`_drain`, which with a non-empty estimate restarts the
+        *current* inner round — a second w-broadcast and check in one
+        (round, inner) instance.  A repeat does nothing.  Only the round
+        number is kept, never the batch.
+        """
+        if k not in self._late_decided:
+            self._late_decided.add(k)
+            self._drain()
+
     def _w_deliver(self, instance: tuple[int, int], payload: frozenset, position: int) -> None:
         if position == 0:
+            if instance[0] < self.round:
+                return  # a round already delivered: nothing waits for it
             self._first[instance] = payload
             if instance == (self.round, self.inner):
                 if self.state == _AWAIT_FIRST:
@@ -179,6 +205,7 @@ class WabCast(AbcastModule):
         self._start_inner(proposal)
 
     def _drain(self) -> None:
+        start = self.round
         while self.round in self._decisions:
             batch = self._decisions.pop(self.round)
             self._deliver_batch(batch)
@@ -188,6 +215,10 @@ class WabCast(AbcastModule):
             self.round += 1
             self.inner = 1
             self.rounds_completed += 1
+        if self.round != start:
+            k = self.round
+            self._first = {key: v for key, v in self._first.items() if key[0] >= k}
+            self._checks = {key: v for key, v in self._checks.items() if key[0] >= k}
         if self.estimate:
             self._start_inner(frozenset(self.estimate))
         else:

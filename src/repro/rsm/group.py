@@ -103,9 +103,10 @@ class ShardOutcome:
     ``failure`` carries the group's first checker error instead of raising,
     so a caller holding several groups can gather every outcome (and, in a
     parallel run, merge every trace) before re-raising the first failure in
-    shard order.  ``trace``, ``network_stats`` and ``kernel`` describe the
-    fabric rather than the group; only a group that owned its fabric — one
-    task of the parallel map — fills them in.
+    shard order.  ``trace`` (or, under a counting tracer, ``trace_tally``),
+    ``network_stats`` and ``kernel`` describe the fabric rather than the
+    group; only a group that owned its fabric — one task of the parallel
+    map — fills them in.
     """
 
     shard: int
@@ -122,6 +123,7 @@ class ShardOutcome:
     sessions: dict[int, dict]
     failure: ReproError | None = None
     trace: list[tuple[float, int, str, Any]] = field(default_factory=list)
+    trace_tally: dict[str, tuple[float, int]] = field(default_factory=dict)
     network_stats: dict = field(default_factory=dict)
     kernel: dict = field(default_factory=dict)
 

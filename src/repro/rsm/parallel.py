@@ -56,7 +56,7 @@ from repro.rsm.group import (
 from repro.rsm.shard import ShardedRsmRunResult, ShardRouter, shard_pid_groups
 from repro.sim.kernel import derive_seed
 from repro.sim.parallel import PartitionPlan, run_partitions
-from repro.sim.trace import Tracer
+from repro.sim.trace import CountingTracer, Tracer
 
 __all__ = [
     "filter_nemesis_for_shard",
@@ -138,8 +138,11 @@ def _run_shard(shard: int, payload: tuple) -> ShardOutcome:
     the shard id, so the outcome is a pure function of (spec, shard):
     identical wherever the task runs.
     """
-    spec, want_trace, detail = payload
-    tracer = Tracer() if (want_trace or detail) else None
+    spec, trace, detail = payload
+    if trace == "counts":
+        tracer = CountingTracer()
+    else:
+        tracer = Tracer() if (trace or detail) else None
     fabric = Fabric.fresh(
         spec,
         tracer=tracer,
@@ -158,7 +161,9 @@ def _run_shard(shard: int, payload: tuple) -> ShardOutcome:
     sim.run(until=spec.horizon, max_events=spec.max_events)
 
     outcome = group.check()
-    if tracer is not None:
+    if isinstance(tracer, CountingTracer):
+        outcome.trace_tally = tracer.tally()
+    elif tracer is not None:
         outcome.trace = [(r.time, r.pid, r.kind, r.data) for r in tracer.records]
     outcome.network_stats = fabric.network.stats.snapshot()
     outcome.kernel = {name: getattr(sim, name) for name in _KERNEL_COUNTERS}
@@ -232,15 +237,33 @@ def run_parallel_sharded_rsm(
     workers = min(spec.workers or 1, plan.partitions)
     if workers_cap is not None:
         workers = min(workers, max(1, workers_cap))
-    payload = (spec, ctx.tracer is not None, ctx.detail)
+    # A parent tracer that keeps no records gets per-kind tallies, not traces.
+    tracer = ctx.tracer
+    if tracer is None:
+        trace = None
+    else:
+        trace = "counts" if isinstance(tracer, CountingTracer) else "records"
+    payload = (spec, trace, ctx.detail)
     outcomes = run_partitions(
         _run_shard, [payload] * plan.partitions, plan, workers=workers
     )
 
     # Merge traces first — even a failing run keeps its evidence.  The
     # interleave key (time, shard, local order) is a deterministic refinement
-    # of per-shard emission order, independent of where shards ran.
-    if ctx.tracer is not None:
+    # of per-shard emission order, independent of where shards ran.  A
+    # tally merges under the same key: a kind's first-seen position in its
+    # shard orders it as the index of its first record would.
+    if trace == "counts":
+        firsts = sorted(
+            (first, outcome.shard, position, kind, count)
+            for outcome in outcomes
+            for position, (kind, (first, count)) in enumerate(
+                outcome.trace_tally.items()
+            )
+        )
+        for first, _, _, kind, count in firsts:
+            tracer.absorb(kind, first, count)
+    elif trace == "records":
         tagged = [
             (record[0], outcome.shard, index, record)
             for outcome in outcomes
@@ -248,7 +271,7 @@ def run_parallel_sharded_rsm(
         ]
         tagged.sort(key=lambda item: item[:3])
         for _, _, _, (at, pid, kind, data) in tagged:
-            ctx.tracer.emit(at, pid, kind, data)
+            tracer.emit(at, pid, kind, data)
 
     # The first failure in shard order; each shard answers for its own
     # sessions' acknowledgements (nothing spans shards here).

@@ -4,7 +4,8 @@ Protocols and checkers publish trace records (decisions, deliveries, round
 transitions) to a :class:`Tracer`.  Tests assert on traces; the experiment
 harness derives latency and step-count metrics from them.  Tracing is
 pull-free and allocation-light: a record is a plain tuple appended to a list,
-and subscribers get synchronous callbacks.
+and subscribers get synchronous callbacks.  A run whose records nobody can
+read back gets a :class:`CountingTracer`, which keeps only per-kind counts.
 
 The :class:`KINDS` vocabulary covers the full causal story of a run: the
 always-on application events (``a-broadcast``, ``a-deliver``, ``decide``)
@@ -20,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-__all__ = ["KINDS", "TraceRecord", "Tracer", "describe_value"]
+__all__ = ["KINDS", "CountingTracer", "TraceRecord", "Tracer", "describe_value"]
 
 
 class KINDS:
@@ -282,3 +283,43 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
         self._by_kind.clear()
+
+
+class CountingTracer(Tracer):
+    """A tracer whose records nobody reads back: it counts, it stores none.
+
+    ``execute_run`` builds one for every run it owns that has no obs knob
+    set, because its report reads only :meth:`counts`.  Per kind it keeps the
+    time of the first record and the number of records, in first-seen kind
+    order, so :meth:`counts` is exactly what a recording :class:`Tracer`
+    would answer.  Subscribers still get every record; every other query
+    sees an empty trace.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: ``{kind: [time of the first record, number of records]}``.
+        self._tally: dict[str, list] = {}
+
+    def emit(self, time: float, pid: int, kind: str, data: Any = None) -> None:
+        self.absorb(kind, time, 1)
+        if self._subscribers:
+            record = TraceRecord(time, pid, kind, data)
+            for fn in self._subscribers:
+                fn(record)
+
+    def absorb(self, kind: str, first: float, count: int) -> None:
+        """Count ``count`` records of ``kind``, the first of them at
+        ``first``; a kind not seen before is first-seen now."""
+        entry = self._tally.get(kind)
+        if entry is None:
+            self._tally[kind] = [first, count]
+        else:
+            entry[1] += count
+
+    def tally(self) -> dict[str, tuple[float, int]]:
+        """``{kind: (time of the first record, count)}``, first-seen order."""
+        return {kind: (first, count) for kind, (first, count) in self._tally.items()}
+
+    def counts(self) -> dict[str, int]:
+        return {kind: count for kind, (_, count) in self._tally.items()}

@@ -197,6 +197,7 @@ class TestInstanceLifetime:
         rounds = 2000
         alive = {pid: weakref.WeakSet() for pid in range(4)}
         peak = dict.fromkeys(range(4), 0)
+        made = dict.fromkeys(range(4), 0)
         views = {}
 
         def make(pid, env, oracle, host):
@@ -204,6 +205,7 @@ class TestInstanceLifetime:
 
             def consensus(senv):
                 instance = module(senv, views[pid])
+                made[pid] += 1
                 alive[pid].add(instance)
                 peak[pid] = max(peak[pid], len(alive[pid]))
                 return instance
@@ -228,10 +230,17 @@ class TestInstanceLifetime:
             # in flight, however long the run.
             assert peak[pid] <= 4
             assert len(alive[pid]) == 0
-            assert set(host.abcast._instances.values()) == {RETIRED}
+            # Not even a RETIRED stand-in per decided round is left.
+            assert len(host.abcast._instances) == 0
             assert sum(host.abcast.decision_tally.values()) == host.abcast.rounds_completed
             assert len(host.abcast._first_payload) == 0
             assert len(views[pid]._subscribers) == 0
+            # Late PROP/DECIDE traffic for a retired round re-creates nothing.
+            prop = LProp(1, "late", 1) if module is LConsensus else PProp(1, "late")
+            for late in (prop, Decide(frozenset(), 1)):
+                host.abcast.on_message(1, Scoped(("cons", 1), late))
+            assert made[pid] == sum(host.abcast.decision_tally.values())
+            assert len(host.abcast._instances) == 0
 
     @pytest.mark.parametrize(
         "module, view, prop, change",

@@ -20,7 +20,8 @@ from repro.engine import (
     spec_from_dict,
     sweep_grid,
 )
-from repro.engine.spec import LAN, LAN_CAPACITY, LAN_DATAGRAM
+from repro.engine.context import RunContext
+from repro.engine.spec import LAN, LAN_CAPACITY, LAN_DATAGRAM, TopologySpec
 from repro.errors import ConfigurationError
 from repro.harness.factories import ABCAST_FACTORIES, CONSENSUS_FACTORIES
 from repro.harness.registry import (
@@ -31,6 +32,9 @@ from repro.harness.registry import (
     name_of,
     protocol_names,
 )
+from repro.nemesis.spec import CpuSkewOp, NemesisSpec
+from repro.sim import trace as trace_mod
+from repro.sim.trace import Tracer
 
 
 def quick_spec(**overrides) -> AbcastRunSpec:
@@ -134,6 +138,57 @@ class TestExecuteRun:
         report = execute_run(quick_spec())
         data = json.loads(json.dumps(report.to_dict()))
         assert RunReport.from_dict(data).to_dict() == report.to_dict()
+
+
+def _sharded_spec(**overrides) -> RsmRunSpec:
+    # The skew lands in shard 1 only and opens the trace, so the merged
+    # first-seen kind order differs from shard 0's.
+    return RsmRunSpec(
+        protocol="multipaxos",
+        rate=120.0,
+        duration=0.5,
+        n=3,
+        clients=4,
+        seed=3,
+        topology=TopologySpec(groups=4, group_size=3),
+        nemesis=NemesisSpec((CpuSkewOp(at=0.0, duration=0.1, pid=4, factor=2.0),)),
+        **overrides,
+    )
+
+
+class TestCountingRun:
+    """A run ``execute_run`` owns, with no obs knob set, only counts its trace
+    kinds — and reports exactly what a recording run reports."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(quick_spec(protocol="wabcast", rate=300.0), id="abcast"),
+            pytest.param(
+                RsmRunSpec(
+                    protocol="cabcast-l",
+                    rate=200.0,
+                    duration=1.0,
+                    clients=4,
+                    seed=5,
+                    crash_at=((1, 0.4),),
+                ),
+                id="rsm-crash",
+            ),
+            pytest.param(_sharded_spec(), id="sharded-serial"),
+            pytest.param(_sharded_spec(parallel=True, workers=2), id="sharded-parallel"),
+        ],
+    )
+    def test_report_matches_a_recording_run(self, spec, monkeypatch):
+        recorded = execute_run(spec, ctx=RunContext(tracer=Tracer()))
+
+        def no_records(*args):
+            raise AssertionError("an untraced run allocated a TraceRecord")
+
+        monkeypatch.setattr(trace_mod, "TraceRecord", no_records)
+        counted = execute_run(spec)
+        assert counted.to_json() == recorded.to_json()
+        assert list(counted.trace_counts.items()) == list(recorded.trace_counts.items())
 
 
 class TestResultCache:

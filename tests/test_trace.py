@@ -1,6 +1,6 @@
 """Unit tests for the structured tracer."""
 
-from repro.sim.trace import KINDS, TraceRecord, Tracer
+from repro.sim.trace import KINDS, CountingTracer, TraceRecord, Tracer
 
 
 class TestTracer:
@@ -67,6 +67,42 @@ class TestTracer:
         tracer.emit(1.0, 0, "a")
         tracer.clear()
         assert tracer.records == []
+
+
+class TestCountingTracer:
+    def _emit_all(self, tracer):
+        tracer.emit(1.0, 0, "b")
+        tracer.emit_broadcast(2.0, 1, (1, 1))
+        tracer.emit(2.5, 0, "b")
+        tracer.emit_decide(3.0, 2, "v", 1, "round")
+
+    def test_counts_equal_a_recording_tracers_in_first_seen_order(self):
+        recording, counting = Tracer(), CountingTracer()
+        self._emit_all(recording)
+        self._emit_all(counting)
+        assert list(counting.counts().items()) == list(recording.counts().items())
+        assert counting.records == []
+
+    def test_tally_keeps_each_kinds_first_time(self):
+        tracer = CountingTracer()
+        self._emit_all(tracer)
+        assert tracer.tally() == {"b": (1.0, 2), "a-broadcast": (2.0, 1), "decide": (3.0, 1)}
+
+    def test_subscribers_still_see_every_record(self):
+        tracer = CountingTracer()
+        seen = []
+        tracer.subscribe(seen.append)
+        tracer.emit(1.0, 2, "evt", "d")
+        assert seen == [TraceRecord(1.0, 2, "evt", "d")]
+        assert tracer.counts() == {"evt": 1}
+
+    def test_absorb_adds_counts_and_keeps_the_first_seen_kind(self):
+        tracer = CountingTracer()
+        tracer.emit(5.0, 0, "a")
+        tracer.absorb("b", 1.0, 3)
+        tracer.absorb("a", 0.5, 2)
+        assert list(tracer.counts().items()) == [("a", 3), ("b", 3)]
+        assert tracer.tally()["a"] == (5.0, 3)
 
 
 class TestKinds:

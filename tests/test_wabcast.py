@@ -4,10 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.abcast_runner import run_abcast
+from repro.oracles.wab import WabMessage
 from repro.protocols import WabCast
+from repro.protocols.wabcast import WabCheck, WabDecision
 from repro.sim.network import ConstantDelay, UniformDelay
 
 from tests.conftest import make_wabcast
+from tests.test_protocol_guards import ScriptEnv
 
 D = ConstantDelay(100e-6)
 
@@ -130,3 +133,65 @@ class TestFaultTolerance:
                 datagram_delay=UniformDelay(50e-6, 400e-6),
                 horizon=30.0,
             )
+
+
+class TestStateLifetime:
+    """A delivered round leaves no WABCast state behind (docs/SIMULATOR.md)."""
+
+    def test_long_run_holds_only_the_rounds_in_flight(self):
+        rounds = 2000
+        # The C-Abcast lifetime test's workload: two jittered senders, so
+        # decisions, checks and first w-deliveries often arrive late.
+        schedule = {
+            p: [(0.001 * (i + 1) + 0.00013 * p, (p, i)) for i in range(rounds // 2)]
+            for p in (0, 3)
+        }
+        result = run_abcast(
+            make_wabcast, 4, schedule, seed=3, horizon=3.0,
+            delay=UniformDelay(50e-6, 200e-6),
+            datagram_delay=UniformDelay(50e-6, 300e-6),
+        )
+        for host in result.hosts.values():
+            abcast = host.abcast
+            assert abcast.rounds_completed >= rounds
+            held = (
+                [k for k, _ in abcast._first]
+                + [k for k, _ in abcast._checks]
+                + list(abcast._decisions)
+            )
+            assert all(k >= abcast.round for k in held)
+            assert len(held) <= 3
+
+    def test_late_decision_restarts_the_current_round_once(self):
+        # Pins a known defect (docs/PROTOCOLS.md, "WABCast and late
+        # decisions"): the first WabDecision for an already-delivered round
+        # restarts the current inner round — a second w-broadcast and a
+        # second check in instance (2, 1) — and a repeat does nothing.
+        env = ScriptEnv(pid=0, n=4)
+        abcast = WabCast(env)
+        first = abcast.a_broadcast("x")
+        abcast.a_broadcast("y")
+        batch = frozenset({first})
+        abcast.on_message(1, WabDecision(1, batch))
+        assert abcast.round == 2 and abcast.delivered == [first]
+        (own,) = [m for dst, m in env.sent if dst == 0 and isinstance(m, WabMessage)
+                  and m.instance == (2, 1)]
+        abcast.on_message(0, own)  # the round's first w-delivery: vote
+
+        def instance_traffic():
+            mine = [m for dst, m in env.sent if dst == 0]
+            return (
+                sum(isinstance(m, WabMessage) and m.instance == (2, 1) for m in mine),
+                sum(isinstance(m, WabCheck) and (m.round, m.inner) == (2, 1) for m in mine),
+            )
+
+        assert instance_traffic() == (1, 1)
+        abcast.on_message(2, WabDecision(1, batch))
+        assert instance_traffic() == (2, 2)
+        assert (abcast.round, abcast.inner, abcast.inner_rounds_run) == (2, 1, 3)
+        abcast.on_message(3, WabDecision(1, batch))
+        assert instance_traffic() == (2, 2)
+        assert abcast.inner_rounds_run == 3
+        # The late decision is remembered by round number only.
+        assert abcast._decisions == {}
+        assert all(k >= 2 for k, _ in abcast._first)
