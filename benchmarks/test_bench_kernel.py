@@ -141,8 +141,9 @@ def test_bench_timer_cancel_churn():
 def test_bench_send_deliver_throughput():
     """Network fabric cost: send N messages through delay model + stats.
 
-    Covers the inlined send path, the memoized byte accounting and the
-    delivery push — everything between ``env.send`` and ``node.deliver``.
+    Covers the single send (a cohort of one through ``Network.send_batch``),
+    the memoized byte accounting and the delivery push — everything between
+    ``env.send`` and ``node.deliver``.
     """
     class Sink:
         def __init__(self):

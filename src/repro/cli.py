@@ -76,6 +76,7 @@ def _add_nemesis_args(parser: argparse.ArgumentParser) -> None:
         "--partition",
         action="append",
         default=[],
+        type=_partition_arg,
         metavar="AT:DUR:GROUPS",
         help="partition op: start, duration, '/'-separated pid groups "
              "(e.g. 0.05:0.1:0/1,2,3 isolates p0; repeatable)",
@@ -84,9 +85,36 @@ def _add_nemesis_args(parser: argparse.ArgumentParser) -> None:
         "--fd-flap",
         action="append",
         default=[],
+        type=_fd_flap_arg,
         metavar="AT:DUR:PID",
         help="falsely suspect PID for DUR seconds starting at AT (repeatable)",
     )
+
+
+def _partition_arg(text: str) -> tuple[float, float, tuple[tuple[int, ...], ...]]:
+    """argparse type of ``--partition``: ``AT:DUR:GROUPS``."""
+    try:
+        at_text, dur_text, groups_text = text.split(":", 2)
+        groups = tuple(
+            tuple(int(pid) for pid in group.split(","))
+            for group in groups_text.split("/")
+        )
+        return float(at_text), float(dur_text), groups
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected AT:DUR:GROUPS (e.g. 0.05:0.1:0/1,2,3), got {text!r}"
+        ) from None
+
+
+def _fd_flap_arg(text: str) -> tuple[float, float, int]:
+    """argparse type of ``--fd-flap``: ``AT:DUR:PID``."""
+    try:
+        at_text, dur_text, pid_text = text.split(":", 2)
+        return float(at_text), float(dur_text), int(pid_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected AT:DUR:PID (e.g. 0.2:0.05:2), got {text!r}"
+        ) from None
 
 
 def _crash_arg(text: str) -> tuple[int, float]:
@@ -121,21 +149,14 @@ def _parse_nemesis(args: argparse.Namespace):
     """
     from repro.nemesis import FdFlapOp, NemesisSpec, PartitionOp
 
-    ops: list = []
-    for item in args.partition:
-        at_text, dur_text, groups_text = item.split(":", 2)
-        groups = tuple(
-            tuple(int(pid) for pid in group.split(","))
-            for group in groups_text.split("/")
-        )
-        ops.append(
-            PartitionOp(at=float(at_text), duration=float(dur_text), groups=groups)
-        )
-    for item in args.fd_flap:
-        at_text, dur_text, pid_text = item.split(":", 2)
-        ops.append(
-            FdFlapOp(at=float(at_text), duration=float(dur_text), pid=int(pid_text))
-        )
+    ops: list = [
+        PartitionOp(at=at, duration=duration, groups=groups)
+        for at, duration, groups in args.partition
+    ]
+    ops += [
+        FdFlapOp(at=at, duration=duration, pid=pid)
+        for at, duration, pid in args.fd_flap
+    ]
     if not ops:
         return None
     return NemesisSpec(ops=tuple(sorted(ops, key=lambda op: op.at)))

@@ -158,7 +158,7 @@ class ConsensusModule(abc.ABC):
         if self.announce_decide:
             # One shared (immutable) DECIDE for all peers: byte accounting
             # then pays a single repr instead of n - 1, and the grouped send
-            # rides the network's fan-out fast path.
+            # is one network send cohort.
             self.env.send_many(self._announce_targets, Decide(value, steps))
         self._deliver_decision(value)
 

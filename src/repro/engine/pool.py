@@ -150,8 +150,8 @@ def run_chunk(
     entries without re-serialising.
 
     ``REPRO_KERNEL_BATCH=0`` in the worker's environment forces every spec
-    onto the serial kernel/network paths (``batch=False``) for A/B
-    debugging.  Reports are byte-identical either way, and the parent keys
+    onto the kernel's serial drain (``batch=False``) for A/B debugging.
+    Reports are byte-identical either way, and the parent keys
     the cache by its own copy of the spec, so cache keys are unaffected.
 
     ``workers_cap`` bounds how many processes a parallel (kernel-per-shard)

@@ -227,7 +227,7 @@ class AbcastRunSpec(_RunSpec):
     obs: bool = False
     obs_metrics_interval: float = 0.0
     obs_flight_recorder: int = 0
-    #: Kernel/network batched execution (False = serial loops; results are
+    #: The kernel's sorted-cohort drain (False = serial loop; results are
     #: byte-identical either way, this is an A/B debugging escape hatch).
     batch: bool = True
     #: Optional fault schedule (see :mod:`repro.nemesis`); serialized only

@@ -18,10 +18,10 @@ Determinism notes:
   install time instead of racing node start-up events for kernel order —
   a partition at ``t=0`` therefore blocks the very first ``on_start`` sends,
   matching the hand-scripted ``network.partition(...)``-before-``run`` style.
-* Link filters are installed only while a window is open, so the network's
-  filter-free fast paths are untouched outside fault windows; while a window
-  is open, ``send_batch`` falls back to per-message sends, which PR-7 proved
-  byte-identical between batched and serial drains.
+* Link filters are installed only while a window is open, so outside fault
+  windows the network's sends skip per-message admission entirely; while a
+  window is open, each message of a send cohort runs the filters and draws
+  its own delay, exactly as single sends do.
 """
 
 from __future__ import annotations

@@ -138,13 +138,6 @@ def collect(
             "bytes_sent": network_stats.get("bytes_sent", 0),
             "by_kind": dict(network_stats.get("by_kind", {})),
         }
-        if nodes:
-            # Fan-out fast-path counters live on the live NetworkStats
-            # object (kept out of snapshot() so report JSON stays stable
-            # across send paths); reach it through any registered node.
-            live = next(iter(nodes.values())).network.stats
-            network_component["fanout_batches"] = getattr(live, "fanout_batches", 0)
-            network_component["fanout_messages"] = getattr(live, "fanout_messages", 0)
         components["network"] = network_component
     if nodes is not None:
         components["nodes"] = {
@@ -234,13 +227,6 @@ def format_perf(perf: Mapping[str, Any]) -> str:
             f"delivered, {network['dropped']:,} dropped, "
             f"{network['bytes_sent']:,} bytes on the wire"
         )
-        fanout_messages = network.get("fanout_messages", 0)
-        if fanout_messages:
-            fanout_batches = network.get("fanout_batches", 0)
-            lines.append(
-                f"  fan-out: {fanout_messages:,} messages in "
-                f"{fanout_batches:,} batch(es)"
-            )
         by_kind = network.get("by_kind", {})
         if by_kind:
             ranked = sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -305,37 +305,6 @@ class Simulator:
         self._seq = seq + 1
         heappush(self._queue, (now + delay, seq, fn, args, None))
 
-    def schedule_calls_at(
-        self, fn: Callable[..., None], calls: list[tuple[float, tuple]]
-    ) -> None:
-        """Bulk :meth:`schedule_call_at`: one shared ``fn``, many ``(time, args)``.
-
-        Used by the network fan-out fast path to push a whole broadcast's
-        arrivals with the loop constants (queue, seq counter, now) hoisted
-        out of the per-destination work.  Timestamp arithmetic and the
-        negative-delay clamp are identical to :meth:`schedule_call_at`, so
-        the resulting heap entries are byte-for-byte the ones ``n``
-        individual calls would have produced.
-        """
-        queue = self._queue
-        push = heappush
-        now = self._now
-        seq = self._seq
-        try:
-            for time, args in calls:
-                delay = time - now
-                if delay < 0.0:
-                    if delay >= -_EPSILON:
-                        delay = 0.0
-                    else:
-                        raise SimulationError(
-                            f"cannot schedule into the past (delay={delay!r})"
-                        )
-                push(queue, (now + delay, seq, fn, args, None))
-                seq += 1
-        finally:
-            self._seq = seq
-
     # ---------------------------------------------------------- cancellation
 
     def _note_cancel(self) -> None:

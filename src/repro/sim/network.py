@@ -24,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappush
+from itertools import repeat
 from math import exp as _exp, log as _log
 from random import NV_MAGICCONST
 from typing import Any, Callable, Protocol
@@ -53,35 +54,15 @@ RELIABLE = "reliable"
 DATAGRAM = "datagram"
 
 
-def _lognorm(rng, mu: float, sigma: float) -> float:
-    """``rng.lognormvariate(mu, sigma)`` without the two wrapper frames.
-
-    This is stdlib ``Random.normalvariate`` (Kinderman-Monahan ratio method)
-    followed by ``exp``, verbatim: the same draws from ``rng.random()`` and
-    the same float expressions, so every sampled delay is bit-identical to
-    the stdlib call — it just runs in one frame on the per-message hot path.
-    The delay-model ``sample`` methods inline this body for the same reason;
-    keep them in sync.
-    """
-    random = rng.random
-    while True:
-        u1 = random()
-        u2 = 1.0 - random()
-        z = NV_MAGICCONST * (u1 - 0.5) / u2
-        zz = z * z / 4.0
-        if zz <= -_log(u2):
-            break
-    return _exp(mu + z * sigma)
-
-
 class DelayModel(Protocol):
     """Samples a one-way message delay in seconds.
 
-    ``sample_many(rng, n)`` is the vectorized contract used by the fan-out
-    fast path: it must consume ``rng`` in **exactly** the order and count of
-    ``n`` sequential ``sample`` calls, so a batched broadcast draws the same
-    delays — bit for bit — as a per-destination loop.  Models without the
-    method still work; the network falls back to ``n`` ``sample`` calls.
+    ``sample_many(rng, n)`` is the vectorized contract the network draws a
+    send cohort's delays with: it must consume ``rng`` in **exactly** the
+    order and count of ``n`` sequential ``sample`` calls, so a broadcast
+    draws the same delays — bit for bit — as a per-destination loop.
+    Models without the method still work; the network falls back to ``n``
+    ``sample`` calls.
     """
 
     def sample(self, rng) -> float:  # pragma: no cover - protocol signature
@@ -167,6 +148,29 @@ class ExponentialDelay:
         return self.base + self.mean_extra
 
 
+def _lognormal_draws(model, rng, n: int) -> list[float]:
+    """``n`` draws of ``base + rng.lognormvariate(mu, sigma)``: the
+    ``sample_many`` of both log-normal models (``base`` is 0.0 for
+    :class:`LogNormalDelay`, and ``0.0 + x == x``).
+
+    Stdlib ``normalvariate`` (Kinderman-Monahan ratio method: draw u1, u2
+    until accepted) then ``exp``, verbatim — the same ``rng.random()`` draws
+    and float expressions, bit for bit — minus the wrapper frames.
+    """
+    random = rng.random
+    base = model._base
+    mu = model._mu
+    sigma = model._sigma
+    out = []
+    while len(out) < n:
+        u1 = random()
+        u2 = 1.0 - random()
+        z = NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -_log(u2):
+            out.append(base + _exp(mu + z * sigma))
+    return out
+
+
 @dataclass(frozen=True)
 class LogNormalDelay:
     """Log-normal delay, parametrised by its actual mean and sigma.
@@ -185,40 +189,13 @@ class LogNormalDelay:
         # expression is identical to the historical per-call one, so the mu
         # bits — and therefore every RNG draw — are unchanged.
         object.__setattr__(self, "_mu", math.log(self.mean_delay) - self.sigma**2 / 2)
+        object.__setattr__(self, "_base", 0.0)
+        object.__setattr__(self, "_sigma", self.sigma)
 
     def sample(self, rng) -> float:
-        # _lognorm, inlined (one frame per sampled message delay).
-        random = rng.random
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = NV_MAGICCONST * (u1 - 0.5) / u2
-            zz = z * z / 4.0
-            if zz <= -_log(u2):
-                break
-        return _exp(self._mu + z * self.sigma)
+        return self.sample_many(rng, 1)[0]
 
-    def sample_many(self, rng, n: int) -> list[float]:
-        # n inlined _lognorm draws with the loop constants hoisted.  Same
-        # draws and float expressions as n sample() calls, bit for bit.
-        random = rng.random
-        mu = self._mu
-        sigma = self.sigma
-        magic = NV_MAGICCONST
-        log = _log
-        exp = _exp
-        out = []
-        append = out.append
-        for _ in range(n):
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = magic * (u1 - 0.5) / u2
-                zz = z * z / 4.0
-                if zz <= -log(u2):
-                    break
-            append(exp(mu + z * sigma))
-        return out
+    sample_many = _lognormal_draws
 
     def mean(self) -> float:
         return self.mean_delay
@@ -241,41 +218,13 @@ class LanDelay:
         object.__setattr__(
             self, "_mu", math.log(self.jitter_mean) - self.jitter_sigma**2 / 2
         )
+        object.__setattr__(self, "_base", self.base)
+        object.__setattr__(self, "_sigma", self.jitter_sigma)
 
     def sample(self, rng) -> float:
-        # _lognorm, inlined (one frame per sampled message delay).
-        random = rng.random
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = NV_MAGICCONST * (u1 - 0.5) / u2
-            zz = z * z / 4.0
-            if zz <= -_log(u2):
-                break
-        return self.base + _exp(self._mu + z * self.jitter_sigma)
+        return self.sample_many(rng, 1)[0]
 
-    def sample_many(self, rng, n: int) -> list[float]:
-        # n inlined _lognorm draws with the loop constants hoisted.  Same
-        # draws and float expressions as n sample() calls, bit for bit.
-        random = rng.random
-        base = self.base
-        mu = self._mu
-        sigma = self.jitter_sigma
-        magic = NV_MAGICCONST
-        log = _log
-        exp = _exp
-        out = []
-        append = out.append
-        for _ in range(n):
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = magic * (u1 - 0.5) / u2
-                zz = z * z / 4.0
-                if zz <= -log(u2):
-                    break
-            append(base + exp(mu + z * sigma))
-        return out
+    sample_many = _lognormal_draws
 
     def mean(self) -> float:
         return self.base + self.jitter_mean
@@ -419,11 +368,6 @@ class NetworkStats:
         # exact historical bytes.
         self.partition_blocked = 0
         self.partition_windows: list[dict] = []
-        # Fan-out fast-path counters (surfaced by repro.perf).  Deliberately
-        # not part of snapshot(): report JSON must stay byte-stable across
-        # the batched and sequential send paths.
-        self.fanout_batches = 0
-        self.fanout_messages = 0
         # Per-channel counts and per-kind [count, bytes] pairs; one dict
         # lookup per send instead of three Counter updates.  Exposed as
         # Counters through the by_channel/by_kind/by_kind_bytes properties.
@@ -444,7 +388,7 @@ class NetworkStats:
         # Scoped wrappers sharing one inner message.
         self._last_inner: Any = None
         self._last_inner_len: int = 0
-        # record_sent's own inner memo (kind + length), same sharing pattern.
+        # count()'s own inner memo (kind + length), same sharing pattern.
         self._last_sent_inner: Any = None
         self._last_sent_inner_kind: str = ""
         self._last_sent_inner_len: int = 0
@@ -456,8 +400,13 @@ class NetworkStats:
 
     # ------------------------------------------------------------- accounting
 
-    def record_sent(self, envelope: Envelope) -> None:
-        payload = envelope.payload
+    def count(self, payload: Any, channel: str, n: int) -> str:
+        """Account ``n`` sends of ``payload`` on ``channel``; returns its kind.
+
+        The network's only byte accounting, called once per send cohort:
+        every destination carries the same payload object, so kind and size
+        are computed once and the counters advanced by ``n``.
+        """
         if payload is self._last_payload and payload is not None:
             kind = self._last_kind
             size = self._last_size
@@ -485,16 +434,19 @@ class NetworkStats:
             self._last_payload = payload
             self._last_kind = kind
             self._last_size = size
-        self.sent += 1
-        self.bytes_sent += size
-        channel = envelope.channel
+        self.sent += n
+        self.bytes_sent += size * n
         channels = self._channel_counts
-        channels[channel] = channels.get(channel, 0) + 1
+        channels[channel] = channels.get(channel, 0) + n
         stats = self._kind_stats.get(kind)
         if stats is None:
             stats = self._kind_stats[kind] = [0, 0]
-        stats[0] += 1
-        stats[1] += size
+        stats[0] += n
+        stats[1] += size * n
+        return kind
+
+    def record_sent(self, envelope: Envelope) -> None:
+        self.count(envelope.payload, envelope.channel, 1)
 
     def _repr_len(self, payload: Any) -> int:
         """Exact ``len(repr(payload))``, avoiding reprs of cached structure.
@@ -573,9 +525,6 @@ class NetworkStats:
             return self._kind_of(payload.inner)
         return kind
 
-    def record_delivered(self) -> None:
-        self.delivered += 1
-
     def record_dropped(self) -> None:
         self.dropped += 1
 
@@ -625,14 +574,6 @@ class NetworkStats:
         return snap
 
 
-def _kind_of(payload: Any) -> str:
-    """Best-effort message-kind label used for per-type accounting."""
-    unwrapped = payload
-    while hasattr(unwrapped, "scope") and hasattr(unwrapped, "inner"):
-        unwrapped = unwrapped.inner
-    return type(unwrapped).__name__
-
-
 # A link filter takes an Envelope and returns either a float (extra delay in
 # seconds), True (deliver normally) or False/None (drop).
 LinkFilter = Callable[[Envelope], "bool | float | None"]
@@ -660,11 +601,10 @@ class Network:
         self.sim = sim
         self.delay = delay or LanDelay()
         self.datagram_delay = datagram_delay or self.delay
-        # Bound sample methods: one attribute hop per send instead of two.
-        # Delay models are frozen dataclasses and never swapped after
-        # construction, so binding once is safe.  sample_many is optional on
-        # the DelayModel protocol; None routes send_batch through n
-        # sequential sample() calls (identical draws either way).
+        # Bound once (delay models are frozen).  send_batch draws a cohort's
+        # delays with sample_many, or with one sample() per admitted message
+        # under partitions, filters or datagram loss: identical draws.
+        # sample_many is optional on the DelayModel protocol.
         self._delay_sample = self.delay.sample
         self._datagram_sample = self.datagram_delay.sample
         self._delay_sample_many = getattr(self.delay, "sample_many", None)
@@ -691,10 +631,10 @@ class Network:
         self._partitions: list[frozenset[int]] = []
         self._rng = sim.rng("network")
         # Network-wide send sequence number.  Every send consumes exactly one
-        # id — including partition-blocked and filter-dropped sends, and the
-        # fan-out fast path (which bulk-advances it) — so the id of the k-th
-        # send is identical whether the run was batched or sequential, obs on
-        # or off.  Under obs the id is stamped into msg-send/msg-deliver
+        # id — including partition-blocked and filter-dropped sends; a
+        # cohort reserves its n ids up front — so the id of the k-th send
+        # does not depend on how sends were grouped, or on obs being on or
+        # off.  Under obs the id is stamped into msg-send/msg-deliver
         # records, giving every delivery a causal edge to its originating
         # send (repro.obs.causal builds the DAG from those edges).
         self._msg_seq = 0
@@ -795,164 +735,8 @@ class Network:
     # ----------------------------------------------------------------- sending
 
     def send(self, src: int, dst: int, payload: Any, channel: str = RELIABLE) -> None:
-        """Transmit ``payload`` from ``src`` to ``dst``.
-
-        Reliable channels never drop (the system model's channels are
-        reliable); they can only be severed by explicit partitions or
-        filters, which tests use to model link failures.
-        """
-        node = self._nodes.get(dst)
-        if node is None:
-            raise ConfigurationError(f"unknown destination pid {dst}")
-        sim = self.sim
-        stats = self.stats
-        now = sim._now
-        # The envelope is only materialised for observers (filters, obs
-        # tracing); the plain path delivers bare (src, payload).
-        envelope = None
-        # NetworkStats.record_sent(envelope), inlined minus the frame: this
-        # is the single hottest call in a sweep.  Mirrors record_sent — keep
-        # the two in sync (the accounting-exactness tests compare both
-        # against the naive definition).
-        if payload is stats._last_payload and payload is not None:
-            kind = stats._last_kind
-            size = stats._last_size
-        else:
-            if type(payload) is Scoped:
-                overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
-                inner = payload.inner
-                if inner is stats._last_sent_inner and inner is not None:
-                    kind = stats._last_sent_inner_kind
-                    inner_len = stats._last_sent_inner_len
-                else:
-                    kind = stats._kind_of(inner)
-                    inner_len = stats._repr_len(inner)
-                    stats._last_sent_inner = inner
-                    stats._last_sent_inner_kind = kind
-                    stats._last_sent_inner_len = inner_len
-                size = HEADER_BYTES + overhead + inner_len
-            else:
-                kind = stats._kind_of(payload)
-                size = HEADER_BYTES + stats._repr_len(payload)
-            stats._last_payload = payload
-            stats._last_kind = kind
-            stats._last_size = size
-        stats.sent += 1
-        stats.bytes_sent += size
-        channels = stats._channel_counts
-        channels[channel] = channels.get(channel, 0) + 1
-        kind_stats = stats._kind_stats.get(kind)
-        if kind_stats is None:
-            kind_stats = stats._kind_stats[kind] = [0, 0]
-        kind_stats[0] += 1
-        kind_stats[1] += size
-
-        msg_id = self._msg_seq
-        self._msg_seq = msg_id + 1
-
-        if self.obs_tracer is not None:
-            self.obs_tracer.emit(
-                now,
-                src,
-                KINDS.MSG_SEND,
-                {"dst": dst, "kind": kind, "channel": channel, "id": msg_id},
-            )
-
-        if self._partitions and self._partition_blocks(src, dst):
-            stats.record_partition_blocked()
-            return
-
-        extra = 0.0
-        if self._filters:
-            envelope = Envelope(src, dst, payload, channel, now, msg_id=msg_id)
-            for fn in self._filters:
-                verdict = fn(envelope)
-                if verdict is False or verdict is None:
-                    stats.record_dropped()
-                    return
-                if isinstance(verdict, (int, float)) and verdict is not True:
-                    extra += float(verdict)
-
-        # Sender-side serialisation: the message occupies its uplink (or the
-        # shared medium) for one frame time before it can propagate.
-        departure = now
-        capacity = self.capacity
-        if capacity is not None:
-            # size is 1 unless a filter rewrote it on the envelope.
-            frame = capacity.frame_time if envelope is None else capacity.frame_time * envelope.size
-            if capacity.mode == "shared":
-                start = departure
-                busy = self._medium_busy
-                if busy > start:
-                    start = busy
-                self._medium_busy = start + frame
-            else:
-                start = departure
-                busy = self._uplink_busy.get(src, 0.0)
-                if busy > start:
-                    start = busy
-                self._uplink_busy[src] = start + frame
-            departure = start + frame
-
-        if channel == DATAGRAM:
-            if self.datagram_loss and self._rng.random() < self.datagram_loss:
-                stats.record_dropped()
-                return
-            arrival = departure + self._datagram_sample(self._rng) + extra
-        elif channel == RELIABLE:
-            # Self-messages traverse the same transport model (as in Neko):
-            # this is what makes the simulator reproduce the paper's uniform
-            # communication-step accounting (1δ per round for everyone).
-            arrival = departure + self._delay_sample(self._rng) + extra
-        else:
-            raise ConfigurationError(f"unknown channel {channel!r}")
-
-        # Receiver-side serialisation on the switch downlink port.
-        if capacity is not None and capacity.mode == "switched":
-            frame = capacity.frame_time if envelope is None else capacity.frame_time * envelope.size
-            busy = self._downlink_busy.get(dst, 0.0)
-            if busy > arrival:
-                arrival = busy
-            arrival += frame
-            self._downlink_busy[dst] = arrival
-
-        if channel == RELIABLE:
-            # Enforce per-link FIFO: a message never overtakes an earlier one.
-            # Per-src sub-dicts avoid a tuple allocation + hash per send.
-            per_src = self._last_arrival.get(src)
-            if per_src is None:
-                per_src = self._last_arrival[src] = {}
-            floor = per_src.get(dst, -math.inf) + self.fifo_epsilon
-            if floor > arrival:
-                arrival = floor
-            per_src[dst] = arrival
-
-        # The destination object is resolved here (nodes are never
-        # unregistered), so the arrival event dispatches straight to it:
-        # bare (src, payload) to Node.deliver_from on the plain path, the
-        # full envelope through _deliver_to when an observer needs it (obs
-        # tracing; filters, whose mutations must reach the receiver).
-        # Inlined sim.schedule_call_at: same `now + (arrival - now)` float
-        # arithmetic (timestamp bits must not change), minus one frame per
-        # message.  arrival >= now always holds on this path, so the
-        # negative-delay guard reduces to a fallback branch.
-        fn = None
-        if envelope is None and self.obs_tracer is None:
-            fn = self._deliver_fast.get(dst)
-        if fn is not None:
-            args = (src, payload)
-        else:
-            if envelope is None:
-                envelope = Envelope(src, dst, payload, channel, now, msg_id=msg_id)
-            fn = self._deliver_to
-            args = (node, envelope)
-        delay = arrival - now
-        if delay >= 0.0:
-            seq = sim._seq
-            sim._seq = seq + 1
-            heappush(sim._queue, (now + delay, seq, fn, args, None))
-        else:
-            sim.schedule_call_at(arrival, fn, args)
+        """Transmit ``payload`` from ``src`` to ``dst`` (a cohort of one)."""
+        self.send_batch(src, (dst,), payload, channel)
 
     def send_batch(
         self, src: int, dsts: "tuple[int, ...] | list[int]", payload: Any,
@@ -960,130 +744,73 @@ class Network:
     ) -> None:
         """Transmit ``payload`` from ``src`` to each pid in ``dsts``, in order.
 
-        Byte-for-byte equivalent to ``for dst in dsts: self.send(src, dst,
-        payload, channel)`` — same RNG draws in the same order, same float
-        arithmetic, same heap entries — but with the per-message constant
-        work hoisted out of the loop: the payload is sized once and its
-        counters bulk-incremented, delays come from one
-        :meth:`DelayModel.sample_many` call, the sender-side busy time is
-        chained through a local, and arrivals are pushed as bare heap
-        entries with :meth:`Simulator.schedule_calls_at`'s bulk arithmetic
-        inlined.  Any feature that interleaves
-        per message (partitions, filters, obs tracing, lossy datagrams —
-        whose loss draw precedes each delay draw) falls back to the
-        sequential path to keep the RNG stream identical.
+        The network's one transmit path, equivalent byte for byte to one
+        single-destination send per pid.  Reliable channels never drop (the
+        system model's channels are reliable); only partitions and filters,
+        which tests use to model link failures, sever them.
+
+        Per cohort: the payload is accounted once, the n message ids are
+        reserved, and the delays come from one :meth:`DelayModel.sample_many`
+        call unless partitions, filters or datagram loss make admission
+        interleave with the draws.  Per message, in order: admission
+        (:meth:`_admit`), sender-side capacity, datagram loss draw, delay
+        draw, downlink capacity, FIFO floor, heap push.
         """
         n = len(dsts)
         if n == 0:
             return
-        sim = self.sim
-        if (
-            n == 1
-            or self._partitions
-            or self._filters
-            or self.obs_tracer is not None
-            or (channel == DATAGRAM and self.datagram_loss)
-            or not sim.batch
-        ):
-            # not sim.batch: one spec-level flag disables both halves of the
-            # batched execution path (kernel cohorts and network fan-out), so
-            # REPRO_KERNEL_BATCH=0 bisects against fully sequential behaviour.
-            send = self.send
-            for dst in dsts:
-                send(src, dst, payload, channel)
-            return
         if channel == RELIABLE:
-            sample_many = self._delay_sample_many
-            sample = self._delay_sample
             reliable = True
+            sample = self._delay_sample
+            sample_many = self._delay_sample_many
         elif channel == DATAGRAM:
-            sample_many = self._datagram_sample_many
-            sample = self._datagram_sample
             reliable = False
+            sample = self._datagram_sample
+            sample_many = self._datagram_sample_many
         else:
             raise ConfigurationError(f"unknown channel {channel!r}")
-        if self._fast_sorted and dsts == self._pids_sorted:
-            # Broadcast to the full sorted group (env.peers tuples compare
-            # equal even when not the cached object): pre-bound methods.
-            resolved = self._fast_sorted
-        else:
-            deliver_fast = self._deliver_fast
-            resolved = []
-            append_fn = resolved.append
-            for dst in dsts:
-                fn = deliver_fast.get(dst)
-                if fn is None:
-                    if dst not in self._nodes:
-                        raise ConfigurationError(f"unknown destination pid {dst}")
-                    # Duck-typed receiver without deliver_from: sequential
-                    # sends keep its envelope-only contract intact.
-                    send = self.send
-                    for d in dsts:
-                        send(src, d, payload, channel)
-                    return
-                append_fn(fn)
-
-        stats = self.stats
-        now = sim._now
-        # Payload accounting, once per batch: every destination carries the
-        # same payload object, so kind and size are computed once and the
-        # counters bulk-incremented.  Mirrors the send() inline of
-        # NetworkStats.record_sent — keep the three in sync.
-        if payload is stats._last_payload and payload is not None:
-            kind = stats._last_kind
-            size = stats._last_size
-        else:
-            if type(payload) is Scoped:
-                overhead = _SCOPED_REPR_OVERHEAD + len(repr(payload.scope))
-                inner = payload.inner
-                if inner is stats._last_sent_inner and inner is not None:
-                    kind = stats._last_sent_inner_kind
-                    inner_len = stats._last_sent_inner_len
-                else:
-                    kind = stats._kind_of(inner)
-                    inner_len = stats._repr_len(inner)
-                    stats._last_sent_inner = inner
-                    stats._last_sent_inner_kind = kind
-                    stats._last_sent_inner_len = inner_len
-                size = HEADER_BYTES + overhead + inner_len
+        # Each pid's bound deliver_from, None for a receiver that only takes
+        # envelopes; an unknown pid is rejected before anything is counted.
+        deliver_fast = self._deliver_fast
+        try:
+            if n == 1:
+                resolved = (deliver_fast[dsts[0]],)
+            elif self._fast_sorted and dsts == self._pids_sorted:
+                # Broadcast to the full sorted group (env.peers tuples
+                # compare equal even when not the cached object).
+                resolved = self._fast_sorted
             else:
-                kind = stats._kind_of(payload)
-                size = HEADER_BYTES + stats._repr_len(payload)
-            stats._last_payload = payload
-            stats._last_kind = kind
-            stats._last_size = size
-        stats.sent += n
-        stats.bytes_sent += size * n
-        channels = stats._channel_counts
-        channels[channel] = channels.get(channel, 0) + n
-        kind_stats = stats._kind_stats.get(kind)
-        if kind_stats is None:
-            kind_stats = stats._kind_stats[kind] = [0, 0]
-        kind_stats[0] += n
-        kind_stats[1] += size * n
-        stats.fanout_batches += 1
-        stats.fanout_messages += n
-        # Bulk-advance the send sequence so the fast path consumes exactly
-        # the ids n sequential send() calls would (ids stay aligned whether
-        # or not any particular fan-out took this path).
-        self._msg_seq += n
+                resolved = list(map(deliver_fast.__getitem__, dsts))
+        except KeyError as err:
+            raise ConfigurationError(f"unknown destination pid {err.args[0]}") from None
 
+        sim = self.sim
+        now = sim._now
+        kind = self.stats.count(payload, channel, n)
+        first_id = self._msg_seq
+        self._msg_seq = first_id + n
         rng = self._rng
-        if sample_many is not None:
-            delays = sample_many(rng, n)
+        tracer = self.obs_tracer
+        loss = 0.0 if reliable else self.datagram_loss
+        admission = self._partitions or self._filters
+        if admission or loss:
+            # Admission interleaves with the draws: each admitted message
+            # draws its own delay, exactly as n sequential sends would.
+            delays = repeat(None)
         else:
-            delays = [sample(rng) for _ in range(n)]
+            delays = sample_many(rng, n) if sample_many else [sample(rng) for _ in range(n)]
+        # Bare: no per-message admission work (obs record, partition, filter).
+        bare = tracer is None and not admission
 
-        # Capacity: the sender-side busy time (uplink or shared medium)
-        # chains through every message of the batch, so it lives in a local
-        # and is written back once.  Downlinks are per destination.
+        # The sender-side busy time (uplink or shared medium) chains through
+        # the cohort in a local and is written back once; downlinks are per
+        # destination.
         capacity = self.capacity
-        switched = False
-        frame = 0.0
+        frame = frame_time = 0.0
         busy = 0.0
-        downlink = None
+        switched = False
         if capacity is not None:
-            frame = capacity.frame_time  # fresh envelopes have size == 1
+            frame = frame_time = capacity.frame_time
             if capacity.mode == "shared":
                 busy = self._medium_busy
             else:
@@ -1094,58 +821,112 @@ class Network:
             per_src = self._last_arrival.get(src)
             if per_src is None:
                 per_src = self._last_arrival[src] = {}
-            floor_get = per_src.get
             fifo_epsilon = self.fifo_epsilon
-        neg_inf = -math.inf
-
-        # Arrival events are pushed inline with the loop constants (queue,
-        # seq counter) hoisted — the bulk-entry arithmetic of
-        # Simulator.schedule_calls_at minus the intermediate call list.  The
-        # timestamp expression (``now + delay``) and the negative-delay
-        # fallback are exactly send()'s, so heap entries are bit-identical.
-        # This path runs only when no observer needs the full envelope (the
-        # obs/filter gate above fell back to send()), so arrivals dispatch
-        # straight to Node.deliver_from with one shared (src, payload) tuple
-        # — no Envelope allocation and no per-destination args tuple.
         queue = sim._queue
-        push = heappush
-        args = (src, payload)
+        bare_args = (src, payload)
+        envelope = None
+        extra = 0.0
+        msg_id = first_id - 1
+        # The kernel's sequence counter lives in a local, synced around
+        # every call that may schedule (or raise).
         seq = sim._seq
-        try:
-            for dst, dst_delay, deliver in zip(dsts, delays, resolved):
-                departure = now
-                if capacity is not None:
-                    if busy > departure:
-                        departure = busy
-                    busy = departure + frame
+        for dst, deliver, delay in zip(dsts, resolved, delays):
+            msg_id += 1
+            if not bare:
+                sim._seq = seq  # a duplicating filter schedules its resend
+                envelope, extra = self._admit(src, dst, payload, channel, now, msg_id, kind)
+                seq = sim._seq
+                if extra is None:
+                    continue
+                frame = frame_time if envelope is None else frame_time * envelope.size
+
+            # Sender-side serialisation: one frame time on the uplink (or
+            # the shared medium) before the message propagates.
+            departure = now
+            if capacity is not None:
+                if busy > departure:
                     departure = busy
-                arrival = departure + dst_delay
-                if switched:
-                    dbusy = downlink.get(dst, 0.0)
-                    if dbusy > arrival:
-                        arrival = dbusy
-                    arrival += frame
-                    downlink[dst] = arrival
-                if reliable:
-                    floor = floor_get(dst, neg_inf) + fifo_epsilon
-                    if floor > arrival:
-                        arrival = floor
-                    per_src[dst] = arrival
-                delay = arrival - now
-                if delay >= 0.0:
-                    push(queue, (now + delay, seq, deliver, args, None))
-                    seq += 1
+                busy = departure + frame
+                departure = busy
+            if loss and rng.random() < loss:
+                self.stats.record_dropped()
+                continue
+            if delay is None:
+                delay = sample(rng)
+            # Self-messages traverse the same transport model (as in
+            # Neko): the paper's uniform 1δ-per-round step accounting.
+            arrival = departure + delay + extra
+            # Receiver-side serialisation on the switch downlink port.
+            if switched:
+                dbusy = downlink.get(dst, 0.0)
+                if dbusy > arrival:
+                    arrival = dbusy
+                arrival += frame
+                downlink[dst] = arrival
+            if reliable:
+                # Per-link FIFO: a message never overtakes an earlier one.
+                floor = per_src.get(dst, -math.inf) + fifo_epsilon
+                if floor > arrival:
+                    arrival = floor
+                per_src[dst] = arrival
+
+            # (src, payload) straight to deliver_from, or the envelope
+            # through _deliver_to for obs, for filters (their mutations
+            # must reach the receiver) and for envelope-only receivers.
+            # Inlined sim.schedule_call_at: same ``now + (arrival - now)``
+            # timestamp bits, minus one frame per message.
+            if deliver is not None and (bare or (envelope is None and tracer is None)):
+                fn = deliver
+                args = bare_args
+            else:
+                fn = self._deliver_to
+                node = self._nodes[dst]
+                if envelope is None:  # not kept: no filter built it
+                    args = (node, Envelope(src, dst, payload, channel, now, 1, msg_id))
                 else:
-                    sim._seq = seq
-                    sim.schedule_call_at(arrival, deliver, args)
-                    seq = sim._seq
-        finally:
-            sim._seq = seq
+                    args = (node, envelope)
+            delay = arrival - now
+            if delay >= 0.0:
+                heappush(queue, (now + delay, seq, fn, args, None))
+                seq += 1
+            else:
+                sim._seq = seq
+                sim.schedule_call_at(arrival, fn, args)
+                seq = sim._seq
+        sim._seq = seq
         if capacity is not None:
             if switched:
                 self._uplink_busy[src] = busy
             else:
                 self._medium_busy = busy
+
+    def _admit(
+        self, src: int, dst: int, payload: Any, channel: str, now: float,
+        msg_id: int, kind: str,
+    ) -> "tuple[Envelope | None, float | None]":
+        """Admission of one message: obs record, partition check, filters.
+
+        Returns ``(envelope, extra delay)``.  The envelope is None unless a
+        filter saw it; the extra delay is None when the message is dropped.
+        """
+        if self.obs_tracer is not None:
+            data = {"dst": dst, "kind": kind, "channel": channel, "id": msg_id}
+            self.obs_tracer.emit(now, src, KINDS.MSG_SEND, data)
+        if self._partitions and self._partition_blocks(src, dst):
+            self.stats.record_partition_blocked()
+            return None, None
+        if not self._filters:
+            return None, 0.0
+        envelope = Envelope(src, dst, payload, channel, now, msg_id=msg_id)
+        extra = 0.0
+        for fn in self._filters:
+            verdict = fn(envelope)
+            if verdict is False or verdict is None:
+                self.stats.record_dropped()
+                return None, None
+            if isinstance(verdict, (int, float)) and verdict is not True:
+                extra += float(verdict)
+        return envelope, extra
 
     def broadcast(self, src: int, payload: Any, channel: str = RELIABLE) -> None:
         """Send ``payload`` from ``src`` to every registered node (incl. src)."""

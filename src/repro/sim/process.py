@@ -54,7 +54,8 @@ class Environment(abc.ABC):
         """Send ``msg`` to each pid in ``dsts``, in order (reliable channel).
 
         Equivalent to looping :meth:`send`; environments backed by the
-        simulated network override it to reach the fan-out fast path.
+        simulated network override it to send one cohort
+        (:meth:`repro.sim.network.Network.send_batch`).
         """
         for dst in dsts:
             self.send(dst, msg)

@@ -1,25 +1,28 @@
-"""Batched execution equivalence: cohort drain, fan-out, delay sampling.
+"""Batched execution equivalence: cohort drain, send cohorts, delay sampling.
 
 The batched run loop (`Simulator.run` with ``batch=True``, the default) and
-the network's ``send_batch`` fast path are pure performance features: every
-test here pins the contract that they are *observationally identical* to the
-serial one-event-at-a-time kernel and to sequential ``send()`` loops — same
-trace bytes, same RNG stream, same counters, same heap timestamps.
+the network's send cohorts (``send_batch``) are pure performance features:
+every test here pins the contract that they are *observationally identical*
+to the serial one-event-at-a-time kernel and to one single-destination
+``send()`` per destination — same trace bytes, same RNG stream, same
+counters, same heap timestamps.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.network import (
     DATAGRAM,
     ConstantDelay,
     LanDelay,
+    LinkCapacity,
     Network,
     UniformDelay,
 )
+from repro.sim.trace import Tracer
 
 SEEDS = range(10)
 
@@ -230,38 +233,45 @@ class TestSendBatchEquivalence:
         received_seq, stats_seq, now_seq = _fanout_run(False, channel)
         assert repr(received_batch) == repr(received_seq)
         assert now_batch == now_seq
-        # Fan-out counters are the only permitted difference.
-        for key in ("fanout_batches", "fanout_messages"):
-            stats_batch.pop(key, None)
-            stats_seq.pop(key, None)
         assert stats_batch == stats_seq
 
     def test_batch_disabled_by_spec_flag(self):
-        # batch=False on the Simulator must force send_batch onto the
-        # sequential path: the fan-out counters stay untouched.
-        sim = Simulator(seed=1, batch=False)
-        net = Network(sim, delay=ConstantDelay(1e-3))
-        sinks = {pid: _Recorder(net) for pid in range(3)}
-        for pid, sink in sinks.items():
-            net.register(pid, sink)
-        net.send_batch(0, net.pids, "x")
-        sim.run()
-        assert net.stats.fanout_batches == 0
-        assert sum(len(s.received) for s in sinks.values()) == 3
+        # batch=False only selects the kernel's serial drain: the network
+        # has one send path, so the received bytes are the same.
+        runs = []
+        for batch in (True, False):
+            sim = Simulator(seed=1, batch=batch)
+            net = Network(sim, delay=LanDelay())
+            sinks = {pid: _Recorder(net) for pid in range(3)}
+            for pid, sink in sinks.items():
+                net.register(pid, sink)
+            for i in range(20):
+                net.send_batch(i % 3, net.pids, ("x", i))
+            sim.run()
+            runs.append(
+                (repr({pid: s.received for pid, s in sinks.items()}), sim.now)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0].count("'x'") == 60
 
     def test_broadcast_resolution_accepts_equal_tuple(self):
         # env.peers hands send_batch a *fresh* tuple equal to the sorted
-        # registry; the pre-bound broadcast fast path must still engage.
+        # registry; the pre-bound broadcast path must still engage, so the
+        # per-destination lookup table is never consulted.
+        class NoLookup(dict):
+            def get(self, *args):
+                raise AssertionError("per-destination deliver_from lookup")
+
         sim = Simulator(seed=2, batch=True)
         net = Network(sim, delay=ConstantDelay(1e-3))
         sinks = {pid: _Recorder(net) for pid in range(4)}
         for pid, sink in sinks.items():
             net.register(pid, sink)
+        net._deliver_fast = NoLookup()
         fresh = tuple(sorted(sinks))
         assert fresh is not net.pids
         net.send_batch(1, fresh, "hello")
         sim.run()
-        assert net.stats.fanout_batches == 1
         assert all(sink.received == [(1, "hello")] for sink in sinks.values())
 
     def test_duck_typed_receiver_falls_back(self):
@@ -285,3 +295,198 @@ class TestSendBatchEquivalence:
         assert [e.payload for e in plain.envelopes] == ["msg"]
         assert fast.received == [(0, "msg")]
         assert net.stats.delivered == 2
+
+
+class _EnvelopeOnly:
+    """Duck-typed receiver without ``deliver_from``: envelopes only."""
+
+    def __init__(self):
+        self.received: list = []
+
+    def deliver(self, envelope):
+        self.received.append(
+            (envelope.src, envelope.payload, envelope.msg_id, envelope.size)
+        )
+
+
+def _partition(net):
+    net.partition({0, 1}, {2, 3})
+
+
+def _drop_one(net):
+    net.add_filter(lambda envelope: envelope.dst != 2)
+
+
+def _add_delay(net):
+    net.add_filter(lambda envelope: 3e-4 if envelope.dst % 2 else True)
+
+
+def _size_three(net):
+    def grow(envelope):
+        envelope.size = 3
+        return True
+
+    net.add_filter(grow)
+
+
+def _schedule_from_filter(net):
+    # Like the nemesis duplicating filter: schedules an event mid-send.
+    def resend_later(envelope):
+        if envelope.dst % 2:
+            net.sim.schedule(0.0, lambda: None)
+        return True
+
+    net.add_filter(resend_later)
+
+
+def _observe(net):
+    net.obs_tracer = Tracer()
+
+
+def _admission_run(
+    cohort: bool,
+    setup=None,
+    channel: str = "reliable",
+    capacity=None,
+    datagram_loss: float = 0.0,
+    envelope_only: tuple[int, ...] = (),
+):
+    """Twelve sends from rotating sources to all four pids, either as one
+    ``send_batch`` each or as one ``send`` per destination; returns every
+    observable the two must agree on."""
+    sim = Simulator(seed=7)
+    net = Network(
+        sim,
+        delay=LanDelay(base=4e-4, jitter_mean=4e-5, jitter_sigma=0.8),
+        datagram_delay=LanDelay(base=3e-4, jitter_mean=1.5e-4, jitter_sigma=1.7),
+        datagram_loss=datagram_loss,
+        capacity=capacity,
+    )
+    sinks = {
+        pid: _EnvelopeOnly() if pid in envelope_only else _Recorder(net)
+        for pid in range(4)
+    }
+    for pid, sink in sinks.items():
+        net.register(pid, sink)
+    if setup is not None:
+        setup(net)
+
+    def fire(i):
+        src, payload = i % 4, ("payload", i)
+        if cohort:
+            net.send_batch(src, net.pids, payload, channel)
+        else:
+            for dst in net.pids:
+                net.send(src, dst, payload, channel)
+
+    for i in range(12):
+        sim.schedule(i * 5e-5, fire, i)
+    sim.run()
+    records = None
+    if net.obs_tracer is not None:
+        records = [(r.time, r.pid, r.kind, r.data) for r in net.obs_tracer.records]
+    return (
+        repr({pid: sink.received for pid, sink in sinks.items()}),
+        net.stats.snapshot(),
+        net._msg_seq,
+        net._rng.getstate(),
+        sim.now,
+        sim.events_processed,
+        repr(records),
+    )
+
+
+SWITCHED = LinkCapacity(frame_time=6e-5, mode="switched")
+SHARED = LinkCapacity(frame_time=6e-5, mode="shared")
+
+
+class TestOneSendPath:
+    """A cohort keeps the sequential rng and event order under every
+    admission feature: one ``send_batch(src, dsts, ...)`` against one
+    single-destination send per destination."""
+
+    CASES = {
+        "partition-splits-cohort": dict(setup=_partition),
+        "filter-drops-one": dict(setup=_drop_one),
+        "filter-adds-delay": dict(setup=_add_delay),
+        "filter-schedules-events": dict(setup=_schedule_from_filter),
+        "filter-size-switched": dict(setup=_size_three, capacity=SWITCHED),
+        "filter-size-shared": dict(setup=_size_three, capacity=SHARED),
+        "datagram-loss-capacity": dict(
+            channel=DATAGRAM, datagram_loss=0.3, capacity=SWITCHED
+        ),
+        "obs-tracer": dict(setup=_observe, capacity=SWITCHED),
+        "obs-tracer-datagram": dict(setup=_observe, channel=DATAGRAM),
+        "mixed-receivers": dict(envelope_only=(1, 3), capacity=SHARED),
+        "mixed-receivers-filtered": dict(envelope_only=(0,), setup=_add_delay),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cohort_matches_single_sends(self, case):
+        kwargs = self.CASES[case]
+        cohort = _admission_run(True, **kwargs)
+        single = _admission_run(False, **kwargs)
+        assert cohort == single
+
+    def test_features_are_exercised(self):
+        # Guards the cases above against silently testing nothing.
+        blocked = _admission_run(True, setup=_partition)[1]
+        assert blocked["partition_blocked"] == 24
+        dropped = _admission_run(True, setup=_drop_one)[1]
+        assert dropped["dropped"] == 12
+        lost = _admission_run(True, channel=DATAGRAM, datagram_loss=0.3)[1]
+        assert 0 < lost["dropped"] < 48
+        observed = _admission_run(True, setup=_observe)[6]
+        assert observed.count("'msg-send'") == observed.count("'msg-deliver'") == 48
+        mixed = _admission_run(True, envelope_only=(1, 3))[0]
+        assert mixed.count("'payload'") == 48
+
+    def test_only_admitted_messages_draw_a_delay(self):
+        # Partition-blocked and filter-dropped messages consume no draw:
+        # the rng ends where drawing the admitted messages' delays leaves it.
+        model = LanDelay(base=4e-4, jitter_mean=4e-5, jitter_sigma=0.8)
+        for setup, admitted in ((_partition, 2), (_drop_one, 3), (None, 4)):
+            sim = Simulator(seed=7)
+            net = Network(sim, delay=model)
+            for pid in range(4):
+                net.register(pid, _Recorder(net))
+            if setup is not None:
+                setup(net)
+            net.send_batch(0, net.pids, "x")
+            expected = Simulator(seed=7).rng("network")
+            for _ in range(admitted):
+                model.sample(expected)
+            assert net._rng.getstate() == expected.getstate()
+
+    @pytest.mark.parametrize("capacity", [SWITCHED, SHARED], ids=["switched", "shared"])
+    def test_envelope_size_scales_the_frame(self, capacity):
+        sim = Simulator(seed=1)
+        net = Network(sim, delay=ConstantDelay(0.0), capacity=capacity)
+        for pid in range(2):
+            net.register(pid, _Recorder(net))
+        _size_three(net)
+        net.send(0, 1, "x")
+        sim.run()
+        frames = 6 if capacity.mode == "switched" else 3  # uplink + downlink
+        assert sim.now == pytest.approx(frames * capacity.frame_time)
+
+    def test_events_scheduled_by_a_filter_keep_unique_sequence_numbers(self):
+        sim = Simulator(seed=1)
+        net = Network(sim, delay=LanDelay())
+        for pid in range(4):
+            net.register(pid, _Recorder(net))
+        _schedule_from_filter(net)
+        net.send_batch(0, net.pids, "x")
+        seqs = [entry[1] for entry in sim._queue]
+        assert len(seqs) == 6 and len(set(seqs)) == 6
+
+    def test_unknown_destination_raises_before_counting(self):
+        sim = Simulator(seed=4)
+        net = Network(sim, delay=LanDelay())
+        for pid in range(3):
+            net.register(pid, _Recorder(net))
+        before = (net.stats.snapshot(), net._msg_seq, net._rng.getstate(), sim.pending())
+        with pytest.raises(ConfigurationError, match="unknown destination pid 9"):
+            net.send_batch(0, (0, 1, 9, 2), "x")
+        after = (net.stats.snapshot(), net._msg_seq, net._rng.getstate(), sim.pending())
+        assert after == before

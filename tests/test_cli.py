@@ -322,6 +322,23 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert f"argument --crash: expected PID@TIME (e.g. 2@0.5), got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, spelling",
+        [
+            ("--partition", "0.05", "AT:DUR:GROUPS (e.g. 0.05:0.1:0/1,2,3)"),
+            ("--partition", "0.05:0.1:0/x", "AT:DUR:GROUPS (e.g. 0.05:0.1:0/1,2,3)"),
+            ("--partition", "soon:0.1:0/1", "AT:DUR:GROUPS (e.g. 0.05:0.1:0/1,2,3)"),
+            ("--fd-flap", "0.05:0.1:x", "AT:DUR:PID (e.g. 0.2:0.05:2)"),
+            ("--fd-flap", "0.05:0.1", "AT:DUR:PID (e.g. 0.2:0.05:2)"),
+        ],
+    )
+    def test_malformed_nemesis_flag_is_a_usage_error(self, capsys, flag, value, spelling):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "export", "--out", "unused.jsonl", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected {spelling}, got {value!r}" in err
+
     def test_rejected_spec_is_a_one_line_error(self, capsys):
         assert main(["rsm", "--crash", "9@0.1", "--duration", "0.3"]) == 2
         captured = capsys.readouterr()
