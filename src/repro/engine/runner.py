@@ -33,7 +33,7 @@ from repro.engine.spec import (
     RsmRunSpec,
     TopologySpec,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, EventBudgetExhausted, ReproError
 from repro.harness.registry import ABCAST, CONSENSUS, get_protocol
 from repro.sim.trace import CountingTracer, Tracer
 from repro.workload.metrics import summarize
@@ -214,9 +214,20 @@ def execute_run(
     tracer = ctx.tracer
 
     def run():
-        if rsm:
-            return run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
-        return run_abcast_spec(spec, ctx=ctx)
+        # A run cut short by its event budget is no report, checked or not.
+        try:
+            if rsm:
+                result = run_rsm_spec(spec, ctx=ctx, workers_cap=workers_cap)
+            else:
+                result = run_abcast_spec(spec, ctx=ctx)
+        except EventBudgetExhausted as exc:
+            key = spec.cache_key()
+            raise EventBudgetExhausted(f"spec {key}: {exc}", key) from None
+        if result.sim.exhausted:
+            raise EventBudgetExhausted.at(
+                spec.max_events, result.sim.now, spec.horizon, spec.cache_key()
+            )
+        return result
 
     perf = None
     if collect_perf:

@@ -73,6 +73,30 @@ class TerminationFailure(ReproError):
     """A run that was expected to decide/deliver did not do so within its horizon."""
 
 
+class EventBudgetExhausted(ReproError):
+    """A run's ``max_events`` budget ran out before its horizon.
+
+    The truncated run is no result: its clients and logs stop mid-flight,
+    so a checker would misreport it and a cache must not keep it.
+    ``spec_key`` names the run spec when the caller knows it.
+    """
+
+    def __init__(self, message: str, spec_key: str | None = None) -> None:
+        super().__init__(message)
+        self.spec_key = spec_key
+
+    @classmethod
+    def at(
+        cls, max_events: int, now: float, horizon: float, spec_key: str | None = None
+    ) -> "EventBudgetExhausted":
+        where = f"spec {spec_key}: " if spec_key else ""
+        return cls(
+            f"{where}max_events={max_events} ran out at t={now:.6g}s, before "
+            f"the horizon {horizon:g}s",
+            spec_key,
+        )
+
+
 class WorkerError(ReproError):
     """A worker process died, or raised something other than a library error,
     before returning its results.  ``partitions`` names the work it held (for

@@ -16,6 +16,11 @@ run.  The oracle detectors make stability a first-class experimental knob:
 Unlike the heartbeat detectors in :mod:`repro.fd.heartbeat`, oracles send no
 messages; they observe crashes through :meth:`repro.sim.node.Node.crash`
 listeners.
+
+The oracle also carries its group's :class:`DeliveryFloor`, the god's-eye
+delivery watermark Multi-Paxos truncates its log below.  It is read
+directly, as Ω is; a deployment would piggyback each member's watermark on
+its ``LogAccepted`` messages instead.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.fd.base import OmegaView, Subscribers, SuspectView
 from repro.sim.kernel import Simulator
 
 __all__ = [
+    "DeliveryFloor",
     "OracleFailureDetector",
     "ScriptedOmega",
     "ScriptedSuspects",
@@ -51,6 +57,32 @@ class _OracleSuspectView(Subscribers, SuspectView):
 
     def suspected(self) -> frozenset[int]:
         return self._oracle.current_suspects()
+
+
+class DeliveryFloor:
+    """The lowest next-to-deliver log slot over a group's members.
+
+    Every member starts at slot 1 and reports its own next slot as it
+    delivers.  A crashed member keeps its last report, and a storage-backed
+    recovery resumes from that very slot, so the floor never passes a slot
+    a member may still ask its peers for.  Every slot below :attr:`value`
+    is delivered by every member: no member reads a log entry below it
+    again.
+    """
+
+    __slots__ = ("_next", "value")
+
+    def __init__(self, pids: Iterable[int]) -> None:
+        self._next = dict.fromkeys(pids, 1)
+        self.value = 1
+
+    def advance(self, pid: int, next_slot: int) -> int:
+        """Record ``pid``'s next slot; return the (possibly raised) floor."""
+        held = self._next[pid] == self.value
+        self._next[pid] = next_slot
+        if held:  # only the member that held the minimum can raise it
+            self.value = min(self._next.values())
+        return self.value
 
 
 class OracleFailureDetector:
@@ -95,6 +127,8 @@ class OracleFailureDetector:
             raise ConfigurationError(f"initially_crashed contains unknown pids {unknown}")
         self._omega_views: dict[int, _OracleOmegaView] = {}
         self._suspect_views: dict[int, _OracleSuspectView] = {}
+        #: The group's delivery watermark, shared by its Multi-Paxos modules.
+        self.delivery_floor = DeliveryFloor(self.pids)
 
     # -------------------------------------------------------------- views
 

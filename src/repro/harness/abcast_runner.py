@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.abcast_base import AbcastModule, AppMessage
-from repro.errors import ConfigurationError, ReproError, TerminationFailure
+from repro.errors import (
+    ConfigurationError,
+    EventBudgetExhausted,
+    ReproError,
+    TerminationFailure,
+)
 from repro.fd.oracle import OracleFailureDetector
 from repro.harness.checkers import (
     check_abcast_validity,
@@ -238,6 +243,8 @@ def run_abcast(
 
     if check:
         try:
+            if sim.exhausted:
+                raise EventBudgetExhausted.at(max_events, sim.now, horizon)
             check_uniform_total_order(deliveries)
             check_abcast_validity(broadcast, deliveries)
             if require_all_delivered:

@@ -95,8 +95,11 @@ def wabcast(pid, env, oracle, host):
 
 
 def multipaxos_abcast(pid, env, oracle, host):
-    """Multi-Paxos replicated log — the Figure-3 baseline."""
-    return MultiPaxosAbcast(env, oracle.omega(pid))
+    """Multi-Paxos replicated log — the Figure-3 baseline.
+
+    The group's modules share the oracle's delivery floor, so each keeps
+    its log from the slowest member's next slot up."""
+    return MultiPaxosAbcast(env, oracle.omega(pid), floor=oracle.delivery_floor)
 
 
 def ct_abcast_l(pid, env, oracle, host):

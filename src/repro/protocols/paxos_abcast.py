@@ -21,6 +21,13 @@ Leader changes run a full phase 1 over the unchosen suffix of the log
 have been chosen; gaps are filled with empty batches.  Pending requests are
 re-sent to each new leader, and duplicate choices are suppressed at
 delivery, so Validity and Integrity survive coordinator crashes.
+
+The log is kept from the group's delivery floor up (a
+:class:`~repro.fd.oracle.DeliveryFloor`: the lowest next-to-deliver slot
+over all members, a crashed member pinned at its last delivery).  Every
+reader of the log reads at or above it: phase 1 from the new leader's own
+next slot, catch-up from the recovered incarnation's durable next slot, and
+a late ``LogAccepted`` below it is ignored like one for a chosen slot.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Any, Callable
 from repro.core.abcast_base import AbcastModule, AppMessage
 from repro.errors import ConfigurationError
 from repro.fd.base import OmegaView
+from repro.fd.oracle import DeliveryFloor
 from repro.sim.process import Environment
 
 __all__ = [
@@ -110,11 +118,16 @@ class MultiPaxosAbcast(AbcastModule):
         f: int | None = None,
         on_deliver: Callable[[AppMessage], None] | None = None,
         storage=None,
+        floor: DeliveryFloor | None = None,
     ) -> None:
         """``storage`` (a :class:`repro.sim.storage.StableStore`) enables the
         crash-recovery regime: acceptor state and delivery progress are
         persisted, and a recovered incarnation catches up on the chosen log
-        it missed via ``CatchUpRequest``/``CatchUpReply``."""
+        it missed via ``CatchUpRequest``/``CatchUpReply``.
+
+        ``floor`` is the group's shared delivery floor (the oracle's
+        ``delivery_floor``); without one the module keeps a private floor
+        that never passes slot 1, so it keeps its whole log."""
         super().__init__(env, on_deliver)
         n = env.n
         self.f = (n - 1) // 2 if f is None else f
@@ -139,11 +152,16 @@ class MultiPaxosAbcast(AbcastModule):
         self._phase1_done = False
         # Learner state.  ``_votes`` holds slot -> ballot -> voters for the
         # slots not yet chosen only: a slot's entry goes when it is chosen,
-        # and later LogAccepteds for it touch no table.  ``_chosen`` is kept
-        # whole, because phase 1 and catch-up read it.
+        # and later LogAccepteds for it touch no table.  ``_chosen`` holds
+        # the slots from the delivery floor up: catch-up reads it from a
+        # recovered peer's next slot, which the floor never passes.
         self._votes: dict[int, dict[int, set[int]]] = {}
         self._chosen: dict[int, frozenset] = {}
         self._next_deliver = 1
+        # Log entries below the floor are gone from ``_accepted`` and
+        # ``_chosen``; ``_kept_from`` is the first slot not yet swept.
+        self._floor = floor if floor is not None else DeliveryFloor(env.peers)
+        self._kept_from = 1
         # Requests this process originated that are not yet delivered.
         self._pending: dict[tuple[int, int], AppMessage] = {}
         if self._recovering_incarnation:
@@ -305,7 +323,8 @@ class MultiPaxosAbcast(AbcastModule):
         if msg.ballot < self._promised:
             return
         self._promised = msg.ballot
-        self._accepted[msg.instance] = (msg.ballot, msg.batch)
+        if msg.instance >= self._floor.value:
+            self._accepted[msg.instance] = (msg.ballot, msg.batch)
         self._persist_acceptor()
         self.env.broadcast(LogAccepted(msg.ballot, msg.instance, msg.batch))
 
@@ -339,7 +358,7 @@ class MultiPaxosAbcast(AbcastModule):
 
     def _on_accepted(self, src: int, msg: LogAccepted) -> None:
         instance = msg.instance
-        if instance in self._chosen:
+        if instance < self._floor.value or instance in self._chosen:
             return
         ballots = self._votes.get(instance)
         if ballots is None:
@@ -366,6 +385,12 @@ class MultiPaxosAbcast(AbcastModule):
             self._next_deliver += 1
             progressed = True
         if progressed:
+            floor = self._floor.advance(self.env.pid, self._next_deliver)
+            if floor > self._kept_from:
+                for instance in range(self._kept_from, floor):
+                    self._accepted.pop(instance, None)
+                    self._chosen.pop(instance, None)
+                self._kept_from = floor
             self._persist_learner()
 
     # ------------------------------------------------------------- catch-up
@@ -379,7 +404,10 @@ class MultiPaxosAbcast(AbcastModule):
         self.env.send(src, CatchUpReply(entries))
 
     def _on_catchup_reply(self, src: int, msg: CatchUpReply) -> None:
+        floor = self._floor.value
         for instance, batch in msg.entries:
+            if instance < floor:
+                continue  # a later reply's prefix, delivered everywhere since
             self._chosen.setdefault(instance, batch)
             self._votes.pop(instance, None)
             self._in_flight.discard(instance)

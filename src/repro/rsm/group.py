@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.engine.spec import RsmRunSpec
-from repro.errors import LinearizabilityViolation, ReproError, TerminationFailure
+from repro.errors import (
+    EventBudgetExhausted,
+    LinearizabilityViolation,
+    ReproError,
+    TerminationFailure,
+)
 from repro.fd.oracle import OracleFailureDetector
 from repro.harness.checkers import (
     check_rsm_exactly_once,
@@ -350,6 +355,10 @@ class ReplicaGroup:
         authority = min(self.pids)
         commit_order: list[tuple[str, tuple[str, ...]]] = []
         try:
+            sim = self.fabric.sim
+            if spec.check and sim.exhausted:
+                # A truncated run: every drain check below would misreport it.
+                raise EventBudgetExhausted.at(spec.max_events, sim.now, spec.horizon)
             survivors = self.serving.pids()
             if not survivors:
                 of_shard = f" of shard {self.shard}" if sharded else ""

@@ -167,7 +167,7 @@ def _run_shard(shard: int, payload: tuple) -> ShardOutcome:
         outcome.trace = [(r.time, r.pid, r.kind, r.data) for r in tracer.records]
     outcome.network_stats = fabric.network.stats.snapshot()
     outcome.kernel = {name: getattr(sim, name) for name in _KERNEL_COUNTERS}
-    outcome.kernel.update(pending=sim.pending(), now=sim.now)
+    outcome.kernel.update(pending=sim.pending(), now=sim.now, exhausted=sim.exhausted)
     return outcome
 
 
@@ -183,6 +183,7 @@ class _KernelTotals:
         for name in _KERNEL_COUNTERS:
             setattr(self, name, sum(k[name] for k in kernels))
         self.now = max((k["now"] for k in kernels), default=0.0)
+        self.exhausted = any(k["exhausted"] for k in kernels)
         self._pending = sum(k["pending"] for k in kernels)
 
     def pending(self) -> int:

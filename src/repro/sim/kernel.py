@@ -194,6 +194,9 @@ class Simulator:
         self._drain_remaining = 0
         self._drain_batches = 0
         self._drain_batched = 0
+        #: True when the last :meth:`run` stopped on its ``max_events``
+        #: budget with an event still due: the run did not reach its horizon.
+        self.exhausted = False
 
     # ------------------------------------------------------------------ time
 
@@ -347,19 +350,26 @@ class Simulator:
 
         Runs until the queue is empty, the optional ``until`` horizon is
         reached (events after the horizon stay queued and ``now`` advances to
-        exactly ``until``), the optional ``max_events`` budget is exhausted,
+        exactly ``until``), the optional ``max_events`` budget is exhausted
+        (:attr:`exhausted` is then set and ``now`` stays at the last event),
         or :meth:`stop` is called from within an event handler.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         self._stopped = False
+        self.exhausted = False
         try:
             if max_events is None and self.batch:
                 self._run_batched(until)
             else:
                 self._run_serial(until, max_events)
-            if until is not None and not self._stopped and self._now < until:
+            if (
+                until is not None
+                and not self._stopped
+                and not self.exhausted
+                and self._now < until
+            ):
                 self._now = until
         finally:
             self._running = False
@@ -381,6 +391,7 @@ class Simulator:
                     break
                 if budget is not None:
                     if budget == 0:
+                        self.exhausted = True
                         break
                     budget -= 1
                 pop(queue)

@@ -107,18 +107,22 @@ class TestNodeRecovery:
         assert net.stats.sent == before
 
 
-def recovery_cluster(seed=1, delay=ConstantDelay(5e-4)):
-    """3-node Multi-Paxos cluster with stable storage for everyone."""
+def recovery_cluster(seed=1, delay=ConstantDelay(5e-4), shared_floor=False):
+    """3-node Multi-Paxos cluster with stable storage for everyone.
+
+    ``shared_floor`` hands every module the oracle's delivery floor, as the
+    registry factory does; otherwise each keeps its whole log."""
     sim = Simulator(seed=seed)
     network = Network(sim, delay=delay)
     pids = [0, 1, 2]
     oracle = OracleFailureDetector(sim, pids)
     fabric = StorageFabric()
+    floor = oracle.delivery_floor if shared_floor else None
 
     def make_host(pid, schedule=()):
         return AbcastHost(
             module_factory=lambda h, env, pid=pid: MultiPaxosAbcast(
-                env, oracle.omega(pid), storage=fabric.store(pid)
+                env, oracle.omega(pid), storage=fabric.store(pid), floor=floor
             ),
             schedule=schedule,
         )
@@ -169,6 +173,40 @@ class TestMultiPaxosRecovery:
         # And it reached the log's end.
         assert recovered and recovered[-1] == full[-1]
         assert_chosen_slots_hold_no_votes(new_host["h"].abcast, hosts[0].abcast)
+
+    def test_crashed_member_pins_the_shared_floor_so_catch_up_is_served(self):
+        sim, nodes, hosts, make_host, oracle = recovery_cluster(
+            seed=2, shared_floor=True
+        )
+        floor = oracle.delivery_floor
+        nodes[2].crash_at(0.004)
+        new_host = {}
+
+        def rebuild():
+            new_host["h"] = make_host(2)
+            return new_host["h"]
+
+        nodes[2].recover_at(0.05, rebuild)
+        sim.run(until=0.049)
+        # p2 is down and the others delivered all 12 slots: the floor stays
+        # at p2's last next slot, and the survivors keep the log from there.
+        pinned = hosts[2].abcast._next_deliver
+        assert 1 < pinned < 13 == hosts[0].abcast._next_deliver
+        assert floor.value == pinned
+        for pid in (0, 1):
+            assert sorted(hosts[pid].abcast._chosen) == list(range(pinned, 13))
+
+        sim.run(until=1.0)
+        recovered = new_host["h"].abcast
+        assert recovered._next_deliver == 13
+        assert recovered.delivered_ids == hosts[0].abcast.delivered_ids[pinned - 1:]
+        assert floor.value == 13
+        # The next slot anyone delivers sweeps the log below the new floor.
+        hosts[1].abcast.a_broadcast("after")
+        sim.run(until=2.0)
+        for module in (hosts[0].abcast, hosts[1].abcast, recovered):
+            assert module._next_deliver == 14
+            assert set(module._chosen) <= {13} and set(module._accepted) <= {13}
 
     def test_catch_up_of_a_slot_with_votes_drops_them(self, monkeypatch):
         # Jittered links and a rejoin in the middle of slot 5: one LogAccepted

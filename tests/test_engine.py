@@ -22,7 +22,7 @@ from repro.engine import (
 )
 from repro.engine.context import RunContext
 from repro.engine.spec import LAN, LAN_CAPACITY, LAN_DATAGRAM, TopologySpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EventBudgetExhausted
 from repro.harness.factories import ABCAST_FACTORIES, CONSENSUS_FACTORIES
 from repro.harness.registry import (
     ABCAST,
@@ -461,6 +461,60 @@ class TestInterruptedSweep:
         assert resumed.cache_hits == len(completed)
         assert resumed.cache_misses == len(goods) - len(completed)
         assert all(report is not None for report in resumed.reports)
+
+
+class TestEventBudget:
+    """A run that exhausts ``max_events`` before its horizon is a typed error
+    naming its spec, never a checker failure and never a cached report."""
+
+    def rsm_spec(self, **overrides):
+        return RsmRunSpec(
+            "multipaxos", rate=200, duration=1.0, cluster=PAPER_LAN, max_events=2000,
+            **overrides,
+        )
+
+    def test_checked_rsm_run_reports_the_budget_not_a_divergence(self):
+        from repro.rsm.runner import run_rsm
+
+        spec = self.rsm_spec()
+        with pytest.raises(EventBudgetExhausted, match="max_events=2000"):
+            run_rsm(spec)
+        with pytest.raises(EventBudgetExhausted) as excinfo:
+            execute_run(spec)
+        assert excinfo.value.spec_key == spec.cache_key()
+        assert spec.cache_key() in str(excinfo.value)
+
+    def test_unchecked_run_returns_its_truncated_result_but_no_report(self):
+        from repro.rsm.runner import run_rsm
+
+        spec = self.rsm_spec(check=False)
+        result = run_rsm(spec)
+        assert result.sim.exhausted
+        assert result.duration < spec.horizon  # the clock stays where it stopped
+        with pytest.raises(EventBudgetExhausted) as excinfo:
+            execute_run(spec)
+        assert excinfo.value.spec_key == spec.cache_key()
+
+    def test_checked_abcast_run_reports_the_budget(self):
+        spec = quick_spec(max_events=300, require_all_delivered=True)
+        with pytest.raises(EventBudgetExhausted) as excinfo:
+            execute_run(spec)
+        assert excinfo.value.spec_key == spec.cache_key()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_surfaces_the_budget_and_caches_nothing(self, tmp_path, jobs):
+        grid = sweep_grid(["cabcast-l"], [100], duration=1.0, max_events=500)
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(grid + [quick_spec()], jobs=jobs, cache=tmp_path, clamp_jobs=False)
+        assert excinfo.value.spec_key == grid[0].cache_key()
+        assert "EventBudgetExhausted" in str(excinfo.value)
+        assert ResultCache(tmp_path).get(grid[0]) is None
+
+    def test_a_budget_that_suffices_changes_nothing(self):
+        spec = quick_spec()
+        budgeted = execute_run(quick_spec(max_events=10**6))
+        assert budgeted.to_dict()["latencies"] == execute_run(spec).to_dict()["latencies"]
+        assert budgeted.sim_time == spec.horizon
 
 
 class TestResultCacheV2:

@@ -114,6 +114,15 @@ class TestHorizon:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_exhausted_budget_is_flagged_and_keeps_the_clock(self):
+        sim = Simulator()
+        for i in range(10):
+            sim.schedule(float(i + 1), lambda: None)
+        sim.run(until=100.0, max_events=3)
+        assert sim.exhausted and sim.now == 3.0
+        sim.run(until=100.0, max_events=7)  # exactly enough: reaches the horizon
+        assert not sim.exhausted and sim.now == 100.0
+
     def test_stop_from_handler(self):
         sim = Simulator()
         fired = []

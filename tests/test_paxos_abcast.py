@@ -3,11 +3,18 @@
 import pytest
 
 from repro.core.abcast_base import AppMessage
+from repro.engine import RsmRunSpec, TopologySpec
+from repro.engine.spec import PAPER_LAN
 from repro.errors import ConfigurationError
-from repro.harness.abcast_runner import run_abcast
+from repro.fd.oracle import DeliveryFloor, OracleFailureDetector
+from repro.harness.abcast_runner import AbcastHost, run_abcast
 from repro.protocols import MultiPaxosAbcast
-from repro.protocols.paxos_abcast import CatchUpReply, LogAccepted
-from repro.sim.network import ConstantDelay, UniformDelay
+from repro.protocols.paxos_abcast import CatchUpReply, LogAccept, LogAccepted
+from repro.rsm.runner import run_rsm
+from repro.sim.kernel import Simulator
+from repro.sim.network import ConstantDelay, Network, UniformDelay
+from repro.sim.node import Node
+from repro.sim.process import Scoped
 from repro.sim.trace import Tracer
 
 from tests.conftest import make_multipaxos
@@ -204,13 +211,19 @@ class TestSlotLifetime:
             assert module._votes == {}
 
     @pytest.mark.parametrize(
-        "ballot, batch",
-        [(0, "same"), (0, "other"), (4, "same")],
-        ids=["same-ballot", "same-ballot-other-batch", "higher-ballot"],
+        "ballot, batch, below_floor",
+        [(0, "same", False), (0, "other", False), (4, "same", False), (0, "same", True)],
+        ids=["same-ballot", "same-ballot-other-batch", "higher-ballot", "below-floor"],
     )
-    def test_accepted_for_a_chosen_slot_touches_nothing(self, ballot, batch):
+    def test_accepted_for_a_chosen_slot_touches_nothing(self, ballot, batch, below_floor):
         env = ScriptEnv(pid=2, n=3)
-        module = MultiPaxosAbcast(env, FixedOmega(0))
+        floor = DeliveryFloor(env.peers)
+        if below_floor:
+            # The other members are past slot 1: delivering it raises the
+            # floor to 2, and slot 1 leaves the log.
+            floor.advance(0, 2)
+            floor.advance(1, 2)
+        module = MultiPaxosAbcast(env, FixedOmega(0), floor=floor)
         delivered = []
         module.set_on_deliver(delivered.append)
         tracer = Tracer()
@@ -218,15 +231,17 @@ class TestSlotLifetime:
         chosen = frozenset({AppMessage(1, 1, "m", 0.0)})
         module.on_message(0, LogAccepted(0, 1, chosen))
         module.on_message(1, LogAccepted(0, 1, chosen))
-        assert module._chosen == {1: chosen} and module._votes == {}
+        kept = {} if below_floor else {1: chosen}
+        assert module._chosen == kept and module._votes == {}
         assert [m.msg_id for m in delivered] == [(1, 1)]
+        assert floor.value == (2 if below_floor else 1)
 
         late = chosen if batch == "same" else frozenset({AppMessage(0, 9, "x", 0.0)})
         sent, records = len(env.sent), len(tracer.records)
         for src in (2, 0, 1):
             module.on_message(src, LogAccepted(ballot, 1, late))
         assert module._votes == {}
-        assert module._chosen == {1: chosen}
+        assert module._chosen == kept
         assert len(env.sent) == sent and len(tracer.records) == records
         assert len(delivered) == 1
 
@@ -242,3 +257,95 @@ class TestSlotLifetime:
         assert set(module._votes) == {3}
         assert module._next_deliver == 3
         assert [m.msg_id for m in module.delivered] == [(1, 1), (1, 2)]
+
+
+class TestDeliveryFloor:
+    """The group's modules keep their log from the delivery floor up."""
+
+    def test_floor_is_the_slowest_members_next_slot(self):
+        floor = DeliveryFloor((0, 1, 2))
+        assert floor.advance(0, 5) == 1
+        assert floor.advance(1, 3) == 1
+        assert floor.advance(2, 4) == 3  # p2 held the minimum
+        assert floor.advance(0, 9) == 3  # p0 did not hold it
+        assert floor.advance(1, 9) == 4
+
+    def test_new_leader_that_lags_recovers_a_delivered_slot_in_phase_1(self):
+        # Slot 3 is accepted by p0 and p1 and delivered by p1, while a link
+        # filter holds every ballot-0 message of slot 3 to p2.  p1 is then
+        # wrongly suspected and p0 crashes, so p2 leads with slot 3 missing.
+        # Its phase 1 starts at slot 3, and p1's promise must still carry
+        # slot 3's batch: the floor is p2's next slot, not p1's.
+        slot = 3
+        sim = Simulator(seed=1)
+        network = Network(sim, delay=ConstantDelay(1e-3))
+        pids = [0, 1, 2]
+        oracle = OracleFailureDetector(sim, pids)
+        hosts, nodes = {}, {}
+        for pid in pids:
+            hosts[pid] = AbcastHost(
+                module_factory=lambda h, env, pid=pid: MultiPaxosAbcast(
+                    env, oracle.omega(pid), floor=oracle.delivery_floor
+                ),
+                schedule=[(0.01 * (i + 1), f"m{i}") for i in range(6)] if pid == 1 else (),
+            )
+            nodes[pid] = Node(sim, network, pid, pids, hosts[pid])
+        oracle.watch(nodes)
+
+        def hold(envelope):
+            msg = envelope.payload
+            msg = msg.inner if isinstance(msg, Scoped) else msg
+            return not (
+                envelope.dst == 2
+                and isinstance(msg, (LogAccept, LogAccepted))
+                and msg.ballot == 0
+                and msg.instance == slot
+            )
+
+        network.add_filter(hold)
+        for node in nodes.values():
+            node.start()
+        sim.run(until=0.045)
+        p1, p2 = hosts[1].abcast, hosts[2].abcast
+        assert p1._next_deliver > slot + 1 and p2._next_deliver == slot
+        assert oracle.delivery_floor.value == slot
+
+        oracle.on_crash(1)
+        nodes[0].crash()
+        assert oracle.current_leader() == 2
+        sim.run(until=0.2)
+        assert p2._leading and p2._ballot > 0  # phase 1 ran
+        expected = [(1, i + 1) for i in range(6)]
+        assert p1.delivered_ids == p2.delivered_ids == expected
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_two_group_log_stays_within_the_in_flight_window(self, scale, monkeypatch):
+        # Peak table sizes over the whole run, sampled after every message a
+        # module handles: the same bound at 1x and 4x the duration.
+        peak = {"accepted": 0, "chosen": 0}
+        on_message = MultiPaxosAbcast.on_message
+
+        def spy(self, src, msg):
+            on_message(self, src, msg)
+            peak["accepted"] = max(peak["accepted"], len(self._accepted))
+            peak["chosen"] = max(peak["chosen"], len(self._chosen))
+
+        monkeypatch.setattr(MultiPaxosAbcast, "on_message", spy)
+        spec = RsmRunSpec(
+            "multipaxos",
+            rate=400,
+            duration=0.5 * scale,
+            clients=8,
+            keys=32,
+            topology=TopologySpec(groups=2, group_size=3),
+            cluster=PAPER_LAN,
+        )
+        result = run_rsm(spec)
+
+        assert result.committed > 150 * scale
+        # One slot in flight per leader, plus the slowest member's lag.
+        assert 0 < peak["accepted"] <= 4 and 0 < peak["chosen"] <= 4
+        for pid, replica in result.replicas.items():
+            module = replica.abcast
+            assert module._next_deliver > 70 * scale, f"p{pid}"
+            assert len(module._accepted) <= 4 and len(module._chosen) <= 4, f"p{pid}"
