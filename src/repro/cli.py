@@ -52,7 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.analysis.complexity import format_table1
 from repro.analysis.textplot import line_chart
@@ -141,6 +141,31 @@ def _add_crash_arg(parser: argparse.ArgumentParser, who: str = "PID") -> None:
     )
 
 
+def _add_run_args(
+    parser: argparse.ArgumentParser, protocol: str, rate: float, duration: float
+) -> None:
+    """The one-abcast-run flags, with the command's own defaults."""
+    parser.add_argument(
+        "--protocol", choices=protocol_names(ABCAST), default=protocol
+    )
+    parser.add_argument("--n", type=int, default=4)
+    parser.add_argument("--rate", type=float, default=rate, help="aggregate msg/s")
+    parser.add_argument("--duration", type=float, default=duration)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _abcast_spec(args: argparse.Namespace, **fields: Any) -> AbcastRunSpec:
+    """The abcast run the ``_add_run_args`` flags describe, plus ``fields``."""
+    return AbcastRunSpec(
+        protocol=args.protocol,
+        rate=args.rate,
+        duration=args.duration,
+        n=args.n,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def _parse_nemesis(args: argparse.Namespace):
     """Build the :class:`NemesisSpec` from ``_add_nemesis_args`` flags.
 
@@ -188,13 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--detection-delay", type=float, default=0.0)
 
     p_ab = sub.add_parser("abcast", help="run an atomic-broadcast session")
-    p_ab.add_argument(
-        "--protocol", choices=protocol_names(ABCAST), default="cabcast-p"
-    )
-    p_ab.add_argument("--n", type=int, default=4)
-    p_ab.add_argument("--rate", type=float, default=100.0, help="aggregate msg/s")
-    p_ab.add_argument("--duration", type=float, default=0.5)
-    p_ab.add_argument("--seed", type=int, default=0)
+    _add_run_args(p_ab, "cabcast-p", rate=100.0, duration=0.5)
 
     p_rsm = sub.add_parser(
         "rsm", help="replicated KV service over an abcast protocol"
@@ -329,13 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="run one spec with perf observability (events/sec etc.)"
     )
-    p_prof.add_argument(
-        "--protocol", choices=protocol_names(ABCAST), default="cabcast-p"
-    )
-    p_prof.add_argument("--n", type=int, default=4)
-    p_prof.add_argument("--rate", type=float, default=300.0, help="aggregate msg/s")
-    p_prof.add_argument("--duration", type=float, default=1.5)
-    p_prof.add_argument("--seed", type=int, default=0)
+    _add_run_args(p_prof, "cabcast-p", rate=300.0, duration=1.5)
     p_prof.add_argument(
         "--cprofile",
         nargs="?",
@@ -361,13 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_export = trace_sub.add_parser(
         "export", help="run one abcast spec with obs enabled and export its trace"
     )
-    t_export.add_argument(
-        "--protocol", choices=protocol_names(ABCAST), default="cabcast-l"
-    )
-    t_export.add_argument("--n", type=int, default=4)
-    t_export.add_argument("--rate", type=float, default=100.0, help="aggregate msg/s")
-    t_export.add_argument("--duration", type=float, default=0.5)
-    t_export.add_argument("--seed", type=int, default=0)
+    _add_run_args(t_export, "cabcast-l", rate=100.0, duration=0.5)
     _add_crash_arg(t_export)
     t_export.add_argument(
         "--format",
@@ -427,15 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one abcast spec with obs on and append its summary",
     )
     o_record.add_argument("--warehouse", required=True, metavar="FILE")
-    o_record.add_argument(
-        "--protocol", choices=protocol_names(ABCAST), default="cabcast-l"
-    )
-    o_record.add_argument("--n", type=int, default=4)
-    o_record.add_argument(
-        "--rate", type=float, default=100.0, help="aggregate msg/s"
-    )
-    o_record.add_argument("--duration", type=float, default=0.5)
-    o_record.add_argument("--seed", type=int, default=0)
+    _add_run_args(o_record, "cabcast-l", rate=100.0, duration=0.5)
     _add_crash_arg(o_record)
     o_record.add_argument(
         "--label", default=None, help="free-form tag stored with the entry"
@@ -569,15 +568,7 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def _cmd_abcast(args: argparse.Namespace) -> int:
-    spec = AbcastRunSpec(
-        protocol=args.protocol,
-        rate=args.rate,
-        duration=args.duration,
-        n=args.n,
-        seed=args.seed,
-        drain=2.0,
-    )
-    result = run_abcast(spec)
+    result = run_abcast(_abcast_spec(args, drain=2.0))
     sent = len(result.broadcast)
     latencies = result.latencies()
     mean_ms = sum(latencies) / len(latencies) * 1e3 if latencies else float("nan")
@@ -930,14 +921,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine.runner import execute_run
     from repro.perf import format_perf, profile_call
 
-    spec = AbcastRunSpec(
-        protocol=args.protocol,
-        rate=args.rate,
-        duration=args.duration,
-        n=args.n,
-        seed=args.seed,
-        warmup=min(0.5, args.duration * 0.2),
-        cluster=PAPER_LAN,
+    spec = _abcast_spec(
+        args, warmup=min(0.5, args.duration * 0.2), cluster=PAPER_LAN
     )
     if args.cprofile is not None:
         report, profile_lines = profile_call(
@@ -971,17 +956,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_export(args: argparse.Namespace) -> int:
-    from repro.engine.runner import run_abcast_spec
-    from repro.obs import ObsRuntime, export_chrome, export_jsonl
-
-    nemesis = _parse_nemesis(args)
-    spec = AbcastRunSpec(
-        protocol=args.protocol,
-        rate=args.rate,
-        duration=args.duration,
-        n=args.n,
-        seed=args.seed,
+def _observed_abcast_spec(args: argparse.Namespace, nemesis) -> AbcastRunSpec:
+    """The fully observed abcast run of ``trace export`` and ``obs record``."""
+    return _abcast_spec(
+        args,
         drain=2.0,
         cluster=PAPER_LAN,
         crash_at=tuple(args.crash),
@@ -992,8 +970,15 @@ def _trace_export(args: argparse.Namespace) -> int:
         # window may legitimately never deliver everywhere.
         require_all_delivered=nemesis is None,
     )
+
+
+def _trace_export(args: argparse.Namespace) -> int:
+    from repro.engine import RunContext
+    from repro.obs import ObsRuntime, export_chrome, export_jsonl
+
+    spec = _observed_abcast_spec(args, _parse_nemesis(args))
     obs = ObsRuntime.from_spec(spec)
-    run_abcast_spec(spec, tracer=obs.tracer, obs=obs)
+    run_abcast(spec, ctx=RunContext(obs=obs))
     writer = export_chrome if args.format == "chrome" else export_jsonl
     with open(args.out, "w", encoding="utf-8") as fh:
         count = writer(obs.tracer.records, fh, spec=spec.to_dict())
@@ -1204,19 +1189,7 @@ def _obs_record(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     else:
-        spec = AbcastRunSpec(
-            protocol=args.protocol,
-            rate=args.rate,
-            duration=args.duration,
-            n=args.n,
-            seed=args.seed,
-            drain=2.0,
-            cluster=PAPER_LAN,
-            crash_at=tuple(args.crash),
-            obs=True,
-            nemesis=nemesis,
-            require_all_delivered=nemesis is None,
-        )
+        spec = _observed_abcast_spec(args, nemesis)
     obs = ObsRuntime.from_spec(spec)
     ctx = RunContext(tracer=obs.tracer, obs=obs)
     report = execute_run(spec, ctx=ctx)

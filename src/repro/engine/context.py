@@ -6,12 +6,12 @@ replicas), and each layer re-implemented the "adopt the obs runtime's
 tracer" rule.  :class:`RunContext` collapses that into a single value with
 one resolution rule, applied once at the runner boundary.
 
-The legacy keywords remain accepted by the abcast and consensus runners
-(``run_abcast(..., tracer=t)`` and friends keep working unchanged) but are
-deprecated: new code should build a :class:`RunContext` and pass ``ctx=``,
-which is the only spelling the RSM runners take.  Passing both a context
-and a legacy keyword is a configuration error — silently preferring one
-would hide bugs.
+The abcast and consensus runners also take ``tracer=``/``obs=``
+(``run_abcast(spec, tracer=t)``): their short spelling of ``ctx=``, folded
+into a context by :meth:`RunContext.resolve` in the one place both runners
+normalise their arguments (:func:`repro.harness.cluster.normalise`).  The
+RSM runners take ``ctx=`` only.  Passing both a context and a keyword is a
+configuration error — silently preferring one would hide bugs.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ class RunContext:
     ) -> "RunContext":
         """Normalise a runner's ``(ctx, tracer, obs)`` arguments.
 
-        This is the single entry point for the deprecation path: legacy
         ``tracer=``/``obs=`` keywords are folded into a fresh context, an
-        explicit ``ctx`` is passed through, and mixing the two styles is
+        explicit ``ctx`` is passed through, and mixing the two spellings is
         rejected.
         """
         if ctx is not None:

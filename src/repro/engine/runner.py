@@ -11,9 +11,9 @@ callback observes every landing cell.  With a cache attached, re-running a
 sweep only executes changed cells — the Figure-2/3 grids and the benchmark
 suite become incremental.
 
-:func:`run_abcast_spec` / :func:`run_consensus_spec` are the spec-driven
-entry points behind the polymorphic :func:`repro.harness.run_abcast` /
-``run_consensus`` (which accept a spec in place of a factory).
+:func:`run_abcast_spec` / :func:`run_consensus_spec` are the harness
+runners :func:`repro.harness.run_abcast` / ``run_consensus`` under their
+engine names: both take a spec in place of a factory.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ from typing import Callable, Sequence, Union
 from repro.engine.cache import ResultCache
 from repro.engine.context import RunContext
 from repro.engine.report import RunReport
-from repro.engine.spec import (
-    AbcastRunSpec,
-    ClusterSpec,
-    ConsensusRunSpec,
-    RsmRunSpec,
-    TopologySpec,
-)
+from repro.engine.spec import AbcastRunSpec, ClusterSpec, RsmRunSpec, TopologySpec
 from repro.errors import ConfigurationError, EventBudgetExhausted, ReproError
-from repro.harness.registry import ABCAST, CONSENSUS, get_protocol
-from repro.sim.trace import CountingTracer, Tracer
+from repro.harness.abcast_runner import run_abcast as run_abcast_spec
+from repro.harness.consensus_runner import run_consensus as run_consensus_spec
+from repro.harness.registry import ABCAST, get_protocol
+from repro.sim.trace import CountingTracer
 from repro.workload.metrics import summarize
 
 __all__ = [
@@ -50,80 +46,6 @@ __all__ = [
     "rsm_sweep_grid",
     "window_latencies",
 ]
-
-
-def run_abcast_spec(
-    spec: AbcastRunSpec,
-    tracer: Tracer | None = None,
-    obs=None,
-    ctx: RunContext | None = None,
-):
-    """Execute one atomic-broadcast spec; returns an ``AbcastRunResult``.
-
-    This is the canonical path: it resolves the protocol through the
-    registry, generates the workload from the spec and drives the same
-    :func:`repro.harness.abcast_runner.run_abcast` machinery as the legacy
-    kwarg signature — same seed, same spec → identical results.  Pass
-    observation through ``ctx`` (a :class:`RunContext`); the separate
-    ``tracer=``/``obs=`` keywords are the deprecated spelling.
-    """
-    from repro.harness.abcast_runner import run_abcast
-
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    info = get_protocol(spec.protocol, kind=ABCAST)
-    cluster = spec.cluster
-    return run_abcast(
-        info.factory,
-        spec.n,
-        _build_schedules(spec),
-        seed=spec.seed,
-        delay=cluster.delay,
-        datagram_delay=cluster.datagram_delay,
-        datagram_loss=cluster.datagram_loss,
-        service_time=cluster.service_time,
-        crash_at=dict(spec.crash_at) or None,
-        initially_crashed=cluster.initially_crashed,
-        detection_delay=cluster.detection_delay,
-        horizon=spec.horizon,
-        check=spec.check,
-        require_all_delivered=spec.require_all_delivered,
-        max_events=spec.max_events,
-        capacity=cluster.capacity,
-        batch=spec.batch,
-        nemesis=spec.nemesis,
-        ctx=ctx,
-    )
-
-
-def run_consensus_spec(
-    spec: ConsensusRunSpec,
-    tracer: Tracer | None = None,
-    obs=None,
-    ctx: RunContext | None = None,
-):
-    """Execute one consensus spec; returns a ``ConsensusRunResult``."""
-    from repro.harness.consensus_runner import run_consensus
-
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    info = get_protocol(spec.protocol, kind=CONSENSUS)
-    cluster = spec.cluster
-    return run_consensus(
-        info.factory,
-        {pid: value for pid, value in enumerate(spec.proposals)},
-        seed=spec.seed,
-        delay=cluster.delay,
-        crash_at=dict(spec.crash_at) or None,
-        initially_crashed=cluster.initially_crashed,
-        detection_delay=cluster.detection_delay,
-        propose_at=dict(spec.propose_at) or None,
-        horizon=spec.horizon,
-        check=spec.check,
-        require_all_alive_decide=spec.require_all_alive_decide,
-        service_time=cluster.service_time,
-        batch=spec.batch,
-        nemesis=spec.nemesis,
-        ctx=ctx,
-    )
 
 
 def run_rsm_spec(
@@ -160,25 +82,12 @@ def _own_context(spec) -> RunContext:
     return RunContext(obs=ObsRuntime.from_spec(spec))
 
 
-def _build_schedules(spec: AbcastRunSpec):
-    # Imported lazily: repro.workload's package __init__ pulls in the
-    # experiment module, which imports this package.
-    from repro.workload.generator import poisson_schedule, uniform_schedule
-
-    if spec.workload == "poisson":
-        return poisson_schedule(spec.n, spec.rate, spec.duration, seed=spec.seed)
-    return uniform_schedule(spec.n, spec.rate, spec.duration)
-
-
 def window_latencies(result, warmup: float, duration: float) -> tuple[int, list[float]]:
     """(offered, latencies) over messages a-broadcast in ``[warmup, duration]``."""
-    window_ids = [
-        mid for mid, msg in result.broadcast.items() if warmup <= msg.sent_at <= duration
-    ]
-    latencies = [
-        lat for mid in window_ids if (lat := result.latency_of(mid)) is not None
-    ]
-    return len(window_ids), latencies
+    offered = sum(
+        warmup <= msg.sent_at <= duration for msg in result.broadcast.values()
+    )
+    return offered, result.latencies((warmup, duration))
 
 
 def execute_run(

@@ -13,23 +13,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.abcast_base import AbcastModule, AppMessage
-from repro.errors import (
-    ConfigurationError,
-    EventBudgetExhausted,
-    ReproError,
-    TerminationFailure,
-)
-from repro.fd.oracle import OracleFailureDetector
+from repro.errors import ConfigurationError, TerminationFailure
 from repro.harness.checkers import (
     check_abcast_validity,
     check_uniform_total_order,
 )
+from repro.harness.cluster import ClusterRun, normalise
+from repro.harness.registry import ABCAST
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.process import Environment, HostProcess
 
-__all__ = ["AbcastHost", "AbcastRunResult", "run_abcast"]
+__all__ = ["AbcastHost", "AbcastRunResult", "run_abcast", "schedules_of"]
 
 ABCAST_SCOPE = ("abc",)
 
@@ -155,81 +150,51 @@ def run_abcast(
     The canonical description of a run is an
     :class:`repro.engine.spec.AbcastRunSpec`: ``run_abcast(spec)`` resolves
     the protocol through the registry and generates the workload from the
-    spec.  The original kwarg signature is kept as a compatible shim:
-    ``make_module(pid, env, oracle, host)`` builds the per-process module
-    (a registry name string also works) and ``schedules`` maps
-    pid -> [(send_time, payload), ...].
+    spec.  Otherwise ``make_module(pid, env, oracle, host)`` builds the
+    per-process module (a registry name string also works), ``schedules``
+    maps pid -> [(send_time, payload), ...] and the keywords describe the
+    cluster.  Observation goes in ``ctx`` (a :class:`RunContext`), or in
+    its short spelling ``tracer=``/``obs=``.
     """
-    from repro.engine.spec import AbcastRunSpec  # local: engine sits above us
+    # Local: the engine sits above the harness.
+    from repro.engine.spec import AbcastRunSpec, ClusterSpec
 
-    if isinstance(make_module, AbcastRunSpec):
-        from repro.engine.runner import run_abcast_spec
-
-        return run_abcast_spec(make_module, tracer=tracer, obs=obs, ctx=ctx)
-    if isinstance(make_module, str):
-        from repro.harness.registry import ABCAST, get_protocol
-
-        make_module = get_protocol(make_module, kind=ABCAST).factory
-    if n is None or schedules is None:
+    spec, make_module, ctx = normalise(
+        make_module, AbcastRunSpec, ABCAST, ctx, tracer, obs
+    )
+    if spec is not None:
+        n, schedules, seed, horizon = spec.n, schedules_of(spec), spec.seed, spec.horizon
+        crash_at, check, max_events = spec.crash_at, spec.check, spec.max_events
+        require_all_delivered = spec.require_all_delivered
+        batch, nemesis, cluster = spec.batch, spec.nemesis, spec.cluster
+    elif n is None or schedules is None:
         raise ConfigurationError("run_abcast needs n and schedules (or a RunSpec)")
+    else:
+        cluster = ClusterSpec(
+            delay=delay,
+            datagram_delay=datagram_delay,
+            datagram_loss=datagram_loss,
+            capacity=capacity,
+            service_time=service_time,
+            detection_delay=detection_delay,
+            initially_crashed=tuple(initially_crashed),
+        )
     if n < 2:
         raise ConfigurationError("atomic broadcast needs at least two processes")
-    from repro.engine.context import RunContext  # local: engine sits above us
 
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    tracer, obs = ctx.tracer, ctx.obs
-    pids = list(range(n))
-    sim = Simulator(seed=seed, batch=batch)
-    network = Network(
-        sim,
-        delay=delay,
-        datagram_delay=datagram_delay,
-        datagram_loss=datagram_loss,
-        capacity=capacity,
-    )
-    oracle = (
-        OracleFailureDetector(
-            sim, pids, detection_delay=detection_delay, initially_crashed=initially_crashed
-        )
-        if use_oracle_fd
-        else None
-    )
-
-    hosts: dict[int, AbcastHost] = {}
-    nodes: dict[int, Node] = {}
-    for pid in pids:
-        host = AbcastHost(
-            module_factory=lambda h, env, pid=pid: make_module(pid, env, oracle, h),
+    def make_host(pid: int, oracle) -> AbcastHost:
+        return AbcastHost(
+            module_factory=lambda h, env: make_module(pid, env, oracle, h),
             schedule=schedules.get(pid, ()),
-            tracer=tracer,
+            tracer=ctx.tracer,
         )
-        if obs is not None and obs.detail:
-            host.obs_detail = True
-        hosts[pid] = host
-        nodes[pid] = Node(sim, network, pid, pids, host, service_time=service_time)
 
-    if oracle is not None:
-        oracle.watch(nodes)
-    if obs is not None:
-        obs.install(sim, network=network, oracle=oracle)
-
-    for pid in initially_crashed:
-        nodes[pid].crash()
-    for pid, node in nodes.items():
-        if pid not in initially_crashed:
-            node.start()
-    for pid, at in (crash_at or {}).items():
-        nodes[pid].crash_at(at)
-
-    if nemesis:
-        from repro.nemesis.inject import NemesisRuntime  # local: sits above us
-
-        NemesisRuntime(
-            nemesis, sim=sim, network=network, nodes=nodes, oracle=oracle, tracer=tracer
-        ).install()
-
+    run = ClusterRun(ctx, range(n), make_host, cluster, seed, batch, use_oracle_fd)
+    run.launch(dict(crash_at or ()), nemesis)
+    sim = run.fabric.sim
     sim.run(until=horizon, max_events=max_events)
 
+    hosts = run.hosts
     deliveries = {
         pid: host.abcast.delivered_ids for pid, host in hosts.items() if host.abcast
     }
@@ -239,32 +204,28 @@ def run_abcast(
             continue
         for message in host.abcast.broadcast_log:
             broadcast[message.msg_id] = message
-    crashed = [pid for pid, node in nodes.items() if node.crashed]
+    crashed = run.crashed
+
+    def checks() -> None:
+        check_uniform_total_order(deliveries)
+        check_abcast_validity(broadcast, deliveries)
+        if require_all_delivered:
+            expected = {
+                mid
+                for mid, msg in broadcast.items()
+                if msg.origin not in crashed  # crashed senders' msgs may be lost
+            }
+            alive = [pid for pid in run.pids if pid not in crashed]
+            for pid in alive:
+                missing = expected - set(deliveries[pid])
+                if missing:
+                    raise TerminationFailure(
+                        f"p{pid} never a-delivered {sorted(missing)[:5]} "
+                        f"({len(missing)} missing) within {horizon}s"
+                    )
 
     if check:
-        try:
-            if sim.exhausted:
-                raise EventBudgetExhausted.at(max_events, sim.now, horizon)
-            check_uniform_total_order(deliveries)
-            check_abcast_validity(broadcast, deliveries)
-            if require_all_delivered:
-                alive = [pid for pid in pids if pid not in crashed]
-                expected = {
-                    mid
-                    for mid, msg in broadcast.items()
-                    if msg.origin not in crashed  # crashed senders' msgs may be lost
-                }
-                for pid in alive:
-                    missing = expected - set(deliveries[pid])
-                    if missing:
-                        raise TerminationFailure(
-                            f"p{pid} never a-delivered {sorted(missing)[:5]} "
-                            f"({len(missing)} missing) within {horizon}s"
-                        )
-        except ReproError as err:
-            if obs is not None:
-                obs.attach_failure(err)
-            raise
+        run.check(checks, max_events, horizon)
 
     return AbcastRunResult(
         deliveries=deliveries,
@@ -272,8 +233,19 @@ def run_abcast(
         broadcast=broadcast,
         crashed=crashed,
         duration=sim.now,
-        network_stats=network.stats.snapshot(),
+        network_stats=run.fabric.network.stats.snapshot(),
         sim=sim,
         hosts=hosts,
-        nodes=nodes,
+        nodes=run.nodes,
     )
+
+
+def schedules_of(spec) -> dict[int, list[tuple[float, Any]]]:
+    """The per-pid send schedules an :class:`AbcastRunSpec` describes."""
+    # Imported lazily: repro.workload's package __init__ pulls in the
+    # experiment module, which imports the engine.
+    from repro.workload.generator import poisson_schedule, uniform_schedule
+
+    if spec.workload == "poisson":
+        return poisson_schedule(spec.n, spec.rate, spec.duration, seed=spec.seed)
+    return uniform_schedule(spec.n, spec.rate, spec.duration)

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.interfaces import ConsensusModule, DecisionRecord
-from repro.errors import ConfigurationError, ReproError, TerminationFailure
+from repro.errors import ConfigurationError, TerminationFailure
 from repro.fd.heartbeat import HeartbeatSuspector
 from repro.fd.base import omega_from_suspects
-from repro.fd.oracle import OracleFailureDetector
 from repro.harness.checkers import check_consensus_agreement, check_consensus_validity
+from repro.harness.cluster import ClusterRun, check_pids, normalise
+from repro.harness.registry import CONSENSUS
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.process import Environment, HostProcess
 
@@ -140,108 +140,83 @@ def run_consensus(
 
     The canonical description of a run is an
     :class:`repro.engine.spec.ConsensusRunSpec`: ``run_consensus(spec)``
-    resolves the protocol through the registry.  The original kwarg
-    signature is kept as a compatible shim: ``make_module(pid, env, oracle,
-    host)`` builds the protocol module for each process (a registry name
-    string also works); ``oracle`` is the shared
-    :class:`OracleFailureDetector` (None when ``fd_factory`` supplies a
-    message-based detector instead — in that case the factory's module is
+    resolves the protocol through the registry.  Otherwise
+    ``make_module(pid, env, oracle, host)`` builds the protocol module for
+    each process (a registry name string also works); ``oracle`` is the
+    shared :class:`OracleFailureDetector` (None when ``fd_factory`` supplies
+    a message-based detector instead — in that case the factory's module is
     attached under the host's FD scope and the consensus factory can pull
-    views off ``host.fd_module``).
+    views off ``host.fd_module``).  Observation goes in ``ctx`` (a
+    :class:`RunContext`), or in its short spelling ``tracer=``/``obs=``.
+
+    Consensus runs use the plain reliable network: the datagram and
+    capacity fields of a spec's cluster are ignored.
     """
-    from repro.engine.spec import ConsensusRunSpec  # local: engine sits above us
+    # Local: the engine sits above the harness.
+    from repro.engine.spec import ClusterSpec, ConsensusRunSpec
 
-    if isinstance(make_module, ConsensusRunSpec):
-        from repro.engine.runner import run_consensus_spec
-
-        return run_consensus_spec(make_module, tracer=tracer, obs=obs, ctx=ctx)
-    if isinstance(make_module, str):
-        from repro.harness.registry import CONSENSUS, get_protocol
-
-        make_module = get_protocol(make_module, kind=CONSENSUS).factory
-    if proposals is None:
+    spec, make_module, ctx = normalise(
+        make_module, ConsensusRunSpec, CONSENSUS, ctx, tracer, obs
+    )
+    if spec is not None:
+        proposals = dict(enumerate(spec.proposals))
+        seed, horizon, check, batch = spec.seed, spec.horizon, spec.check, spec.batch
+        crash_at, propose_at = spec.crash_at, spec.propose_at
+        require_all_alive_decide = spec.require_all_alive_decide
+        nemesis, cluster = spec.nemesis, spec.cluster
+        delay, service_time = cluster.delay, cluster.service_time
+        detection_delay = cluster.detection_delay
+        initially_crashed = cluster.initially_crashed
+    elif proposals is None:
         raise ConfigurationError("run_consensus needs proposals (or a RunSpec)")
     pids = sorted(proposals)
     if len(pids) < 2:
         raise ConfigurationError("consensus needs at least two processes")
-    from repro.engine.context import RunContext  # local: engine sits above us
+    cluster = ClusterSpec(
+        delay=delay,
+        service_time=service_time,
+        detection_delay=detection_delay,
+        initially_crashed=tuple(initially_crashed),
+    )
+    propose_at = dict(propose_at or ())
+    check_pids("propose_at", propose_at, pids)
 
-    ctx = RunContext.resolve(ctx, tracer, obs)
-    tracer, obs = ctx.tracer, ctx.obs
-    sim = Simulator(seed=seed, batch=batch)
-    network = Network(sim, delay=delay)
-    oracle: OracleFailureDetector | None = None
-    if fd_factory is None:
-        oracle = OracleFailureDetector(
-            sim, pids, detection_delay=detection_delay, initially_crashed=initially_crashed
-        )
-
-    hosts: dict[int, ConsensusHost] = {}
-    nodes: dict[int, Node] = {}
-    for pid in pids:
-        host = ConsensusHost(
-            module_factory=(
-                lambda h, env, pid=pid: make_module(pid, env, oracle, h)
-            ),
+    def make_host(pid: int, oracle) -> ConsensusHost:
+        return ConsensusHost(
+            module_factory=lambda h, env: make_module(pid, env, oracle, h),
             proposal=proposals[pid],
-            propose_at=(propose_at or {}).get(pid, 0.0),
-            fd_factory=(lambda env, pid=pid: fd_factory(pid, env)) if fd_factory else None,
-            tracer=tracer,
+            propose_at=propose_at.get(pid, 0.0),
+            fd_factory=(lambda env: fd_factory(pid, env)) if fd_factory else None,
+            tracer=ctx.tracer,
         )
-        if obs is not None and obs.detail:
-            host.obs_detail = True
-        hosts[pid] = host
-        nodes[pid] = Node(sim, network, pid, pids, host, service_time=service_time)
 
-    if oracle is not None:
-        oracle.watch(nodes)
-    if obs is not None:
-        obs.install(sim, network=network, oracle=oracle)
-
-    for pid in initially_crashed:
-        nodes[pid].crash()
-    for pid, node in nodes.items():
-        if pid not in initially_crashed:
-            node.start()
-    for pid, at in (crash_at or {}).items():
-        nodes[pid].crash_at(at)
-
-    if nemesis:
-        from repro.nemesis.inject import NemesisRuntime  # local: sits above us
-
-        NemesisRuntime(
-            nemesis, sim=sim, network=network, nodes=nodes, oracle=oracle, tracer=tracer
-        ).install()
-
+    run = ClusterRun(ctx, pids, make_host, cluster, seed, batch, fd_factory is None)
+    run.launch(dict(crash_at or ()), nemesis)
+    sim = run.fabric.sim
     sim.run(until=horizon)
 
-    decisions = {
-        pid: host.decision_value
-        for pid, host in hosts.items()
+    decided = {
+        pid: host
+        for pid, host in run.hosts.items()
         if host.consensus is not None and host.consensus.decided
     }
-    records = {
-        pid: host.consensus.decision
-        for pid, host in hosts.items()
-        if host.consensus is not None and host.consensus.decided
-    }
-    crashed = [pid for pid, node in nodes.items() if node.crashed]
+    decisions = {pid: host.decision_value for pid, host in decided.items()}
+    records = {pid: host.consensus.decision for pid, host in decided.items()}
+    crashed = run.crashed
+
+    def checks() -> None:
+        alive = [pid for pid in pids if pid not in crashed]
+        if require_all_alive_decide:
+            missing = [pid for pid in alive if pid not in decisions]
+            if missing:
+                raise TerminationFailure(
+                    f"correct processes {missing} did not decide within {horizon}s"
+                )
+        check_consensus_agreement(decisions)
+        check_consensus_validity(dict(proposals), decisions)
 
     if check:
-        try:
-            alive = [pid for pid in pids if pid not in crashed]
-            if require_all_alive_decide:
-                missing = [pid for pid in alive if pid not in decisions]
-                if missing:
-                    raise TerminationFailure(
-                        f"correct processes {missing} did not decide within {horizon}s"
-                    )
-            check_consensus_agreement(decisions)
-            check_consensus_validity(dict(proposals), decisions)
-        except ReproError as err:
-            if obs is not None:
-                obs.attach_failure(err)
-            raise
+        run.check(checks, None, horizon)
 
     return ConsensusRunResult(
         proposals=dict(proposals),
@@ -249,9 +224,9 @@ def run_consensus(
         records=records,
         crashed=crashed,
         duration=sim.now,
-        network_stats=network.stats.snapshot(),
+        network_stats=run.fabric.network.stats.snapshot(),
         sim=sim,
-        nodes=nodes,
+        nodes=run.nodes,
     )
 
 

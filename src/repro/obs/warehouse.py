@@ -10,10 +10,9 @@ wall clock: trend comparisons measure the *simulated* system, not the
 machine that ran it.
 
 ``repro obs record`` appends entries, ``repro obs report`` tabulates a
-store, and ``repro obs compare`` (plus the ``benchmarks/check_warehouse.py``
-CI gate) flags latency regressions between two entries in the
-``check_bench.py`` style: per-metric ratios against a tolerance, exit 1 on
-regression.
+store, and ``repro obs compare`` flags latency regressions between two
+entries in the ``check_bench.py`` style: per-metric ratios against a
+tolerance, exit 1 on regression.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ groups they put on how many kernels:
   kernels, one per worker-process task.
 
 The assembly has two stages.  **Build**: :class:`ReplicaGroup` constructs the
-oracle, replicas and nodes on a caller-supplied :class:`Fabric` (kernel,
-network, stable storage, tracer), and :func:`launch` takes every group of one
+oracle, replicas and nodes on a caller-supplied
+:class:`~repro.harness.cluster.Fabric` (kernel, network, stable storage,
+tracer), and :func:`launch` takes every group of one
 kernel from there to "ready to run" in the one cross-group phase order the
 kernel's sequence numbers (same-time tie-breaks) depend on.  **Check**:
 :meth:`ReplicaGroup.check` picks the authority replica, runs the per-group
@@ -46,59 +47,22 @@ from repro.harness.checkers import (
     check_rsm_session_order,
     check_uniform_total_order,
 )
+from repro.harness.cluster import Fabric
 from repro.harness.registry import ABCAST, get_protocol
 from repro.rsm.client import CommandStream, ServingSet, SessionDriver, ShardKeyStream
 from repro.rsm.machine import KvStore, TxnCommand, TxnKvStore
 from repro.rsm.replica import RsmReplica
 from repro.rsm.session import Request
-from repro.sim.kernel import Simulator, derive_seed
-from repro.sim.network import Network
+from repro.sim.kernel import derive_seed
 from repro.sim.node import Node
-from repro.sim.storage import StorageFabric
 
 __all__ = [
-    "Fabric",
     "ReplicaGroup",
     "ShardOutcome",
     "check_acknowledged",
     "launch",
     "session_stats",
 ]
-
-
-@dataclass
-class Fabric:
-    """What a group is built on, owned by the caller: one kernel's worth.
-
-    Groups sharing a fabric share its RNG streams, its network and its
-    trace; ``detail`` switches the replicas' ``rsm-*`` obs records on.
-    """
-
-    sim: Simulator
-    network: Network
-    storage: StorageFabric
-    tracer: Any = None
-    detail: bool = False
-
-    @classmethod
-    def fresh(
-        cls,
-        spec: RsmRunSpec,
-        tracer: Any = None,
-        detail: bool = False,
-        seed: int | None = None,
-    ) -> "Fabric":
-        """A new kernel, network and storage fabric shaped by ``spec``."""
-        cluster = spec.cluster
-        sim = Simulator(seed=spec.seed if seed is None else seed, batch=spec.batch)
-        network = Network(
-            sim,
-            delay=cluster.delay,
-            datagram_delay=cluster.datagram_delay,
-            datagram_loss=cluster.datagram_loss,
-            capacity=cluster.capacity,
-        )
-        return cls(sim, network, StorageFabric(), tracer, detail)
 
 
 @dataclass

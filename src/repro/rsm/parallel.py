@@ -36,6 +36,7 @@ from typing import Any
 from repro.engine.context import RunContext
 from repro.engine.spec import RsmRunSpec
 from repro.errors import ConfigurationError, ReproError
+from repro.harness.cluster import Fabric
 from repro.nemesis.spec import (
     CpuSkewOp,
     CrashOp,
@@ -47,7 +48,6 @@ from repro.nemesis.spec import (
     PartitionOp,
 )
 from repro.rsm.group import (
-    Fabric,
     ReplicaGroup,
     ShardOutcome,
     check_acknowledged,
@@ -144,10 +144,11 @@ def _run_shard(shard: int, payload: tuple) -> ShardOutcome:
     else:
         tracer = Tracer() if (trace or detail) else None
     fabric = Fabric.fresh(
-        spec,
-        tracer=tracer,
-        detail=detail,
-        seed=derive_seed(spec.seed, "parallel-shard", shard),
+        spec.cluster,
+        derive_seed(spec.seed, "parallel-shard", shard),
+        spec.batch,
+        tracer,
+        detail,
     )
     if detail:
         fabric.network.obs_tracer = tracer

@@ -28,9 +28,9 @@ from typing import Any
 
 from repro.engine.context import RunContext
 from repro.engine.spec import RsmRunSpec
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
+from repro.harness.cluster import Fabric, check_pids
 from repro.rsm.group import (
-    Fabric,
     ReplicaGroup,
     ShardOutcome,
     check_acknowledged,
@@ -115,11 +115,9 @@ def run_rsm(
         from repro.rsm.shard import run_sharded_rsm
 
         return run_sharded_rsm(spec, ctx=ctx)
-    for pid, _ in spec.crash_at:
-        if pid not in range(spec.n):
-            raise ConfigurationError(f"crash_at names unknown replica {pid}")
+    check_pids("crash_at", (pid for pid, _ in spec.crash_at), range(spec.n))
 
-    fabric = Fabric.fresh(spec, tracer=ctx.tracer, detail=ctx.detail)
+    fabric = Fabric.fresh(spec.cluster, spec.seed, spec.batch, ctx.tracer, ctx.detail)
     group = ReplicaGroup(spec, fabric)
     if ctx.obs is not None:
         ctx.obs.install(fabric.sim, network=fabric.network, oracle=group.oracle)

@@ -40,9 +40,9 @@ from repro.engine.context import RunContext
 from repro.engine.spec import PARTITIONERS, RsmRunSpec
 from repro.errors import ConfigurationError, ReproError, TerminationFailure
 from repro.harness.checkers import check_cross_shard_serializable
+from repro.harness.cluster import Fabric
 from repro.rsm.client import ServingSet, _PendingRequest
 from repro.rsm.group import (
-    Fabric,
     ReplicaGroup,
     ShardOutcome,
     check_acknowledged,
@@ -434,7 +434,7 @@ def run_sharded_rsm(
     ctx = ctx if ctx is not None else RunContext()
     groups_n = spec.topology.groups
     router = ShardRouter(groups_n, spec.keys, spec.topology.partitioner)
-    fabric = Fabric.fresh(spec, tracer=ctx.tracer, detail=ctx.detail)
+    fabric = Fabric.fresh(spec.cluster, spec.seed, spec.batch, ctx.tracer, ctx.detail)
     groups = [
         ReplicaGroup(spec, fabric, shard, router.keys_for(shard))
         for shard in range(groups_n)

@@ -8,11 +8,13 @@ reproduces that protocol-agnostically: one simulated run per throughput
 point, Poisson open-loop workload, warmup excluded, mean over the
 steady-state window.
 
+A sweep is one grid of :class:`~repro.engine.spec.AbcastRunSpec` cells.
 Execution is delegated to :mod:`repro.engine` whenever the protocol factory
 is registry-known (pass ``jobs``/``cache`` to parallelise runs across
-processes and reuse results by spec hash); unregistered ad-hoc factories
-fall back to an in-process serial loop with identical semantics.  The
-defaults are the ``LAN*`` testbed presets of :mod:`repro.engine.spec`.
+processes and reuse results by spec hash); an unregistered ad-hoc factory
+runs the same cells in-process through
+:func:`~repro.harness.abcast_runner.run_abcast`, uncached.  The defaults are
+the ``LAN*`` testbed presets of :mod:`repro.engine.spec`.
 """
 
 from __future__ import annotations
@@ -98,23 +100,16 @@ def latency_vs_throughput(
 
         name = name_of(make_module)
 
-    if name is None:
-        return _serial_sweep(
-            make_module, n, throughputs, duration, warmup, drain, seed,
-            delay, datagram_delay, service_time, capacity, max_events, repeats,
-        )
-
-    from repro.engine.runner import run_sweep
-
-    cluster = ClusterSpec(
+    testbed = dict(
         delay=delay,
         datagram_delay=datagram_delay,
         capacity=capacity,
         service_time=service_time,
     )
+    cluster = ClusterSpec(**testbed)
     specs = [
         AbcastRunSpec(
-            protocol=name,
+            protocol=name or "unregistered",
             rate=rate,
             duration=duration,
             n=n,
@@ -128,61 +123,44 @@ def latency_vs_throughput(
         for index, rate in enumerate(throughputs)
         for repeat in range(repeats)
     ]
-    sweep = run_sweep(specs, jobs=jobs, cache=cache)
+    if name is not None:
+        from repro.engine.runner import run_sweep
+
+        windows = [
+            (report.offered, report.latencies)
+            for report in run_sweep(specs, jobs=jobs, cache=cache).reports
+        ]
+    else:  # an ad-hoc factory: the same cells, in-process and uncached
+        from repro.engine.runner import window_latencies
+        from repro.harness.abcast_runner import run_abcast, schedules_of
+
+        windows = [
+            window_latencies(
+                run_abcast(
+                    make_module,
+                    spec.n,
+                    schedules_of(spec),
+                    seed=spec.seed,
+                    horizon=spec.horizon,
+                    require_all_delivered=False,
+                    max_events=max_events,
+                    **testbed,
+                ),
+                warmup,
+                duration,
+            )
+            for spec in specs
+        ]
 
     points: list[SweepPoint] = []
-    reports = iter(sweep.reports)
+    cells = iter(windows)
     for rate in throughputs:
         offered = 0
         latencies: list[float] = []
         for _ in range(repeats):
-            report = next(reports)
-            offered += report.offered
-            latencies.extend(report.latencies)
-        points.append(
-            SweepPoint(
-                throughput=rate,
-                offered=offered,
-                delivered=len(latencies),
-                summary=summarize(latencies),
-            )
-        )
-    return points
-
-
-def _serial_sweep(
-    make_module, n, throughputs, duration, warmup, drain, seed,
-    delay, datagram_delay, service_time, capacity, max_events, repeats,
-) -> list[SweepPoint]:
-    """In-process fallback for factories outside the protocol registry."""
-    from repro.engine.runner import window_latencies
-    from repro.harness.abcast_runner import run_abcast
-    from repro.workload.generator import poisson_schedule
-
-    points: list[SweepPoint] = []
-    for index, rate in enumerate(throughputs):
-        latencies: list[float] = []
-        offered = 0
-        for repeat in range(repeats):
-            run_seed = _run_seed(seed, index, repeat)
-            schedules = poisson_schedule(n, rate, duration, seed=run_seed)
-            result = run_abcast(
-                make_module,
-                n,
-                schedules,
-                seed=run_seed,
-                delay=delay,
-                datagram_delay=datagram_delay,
-                service_time=service_time,
-                capacity=capacity,
-                horizon=duration + drain,
-                check=True,
-                require_all_delivered=False,
-                max_events=max_events,
-            )
-            run_offered, run_latencies = window_latencies(result, warmup, duration)
-            offered += run_offered
-            latencies.extend(run_latencies)
+            cell_offered, cell_latencies = next(cells)
+            offered += cell_offered
+            latencies.extend(cell_latencies)
         points.append(
             SweepPoint(
                 throughput=rate,

@@ -345,6 +345,12 @@ class TestCliBadInput:
         assert captured.err == "repro: error: crash_at names unknown replica 9\n"
         assert captured.out == ""
 
+    def test_consensus_crash_of_unknown_pid_is_a_one_line_error(self, capsys):
+        assert main(["consensus", "--crash", "9@0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: crash_at names unknown replica 9\n"
+        assert captured.out == ""
+
 
 class TestTraceCli:
     EXPORT = [

@@ -199,25 +199,6 @@ class TestCompare:
 
 
 class TestCheckWarehouseGate:
-    def test_gate_passes_then_fails_on_regression(self, tmp_path, capsys):
-        import importlib.util
-        import sys
-
-        gate_path = "benchmarks/check_warehouse.py"
-        loader = importlib.util.spec_from_file_location("check_warehouse", gate_path)
-        gate = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(gate)
-
-        store = Warehouse(str(tmp_path / "wh.jsonl"))
-        store.append(record_run(seed=3, delay=1e-3))
-        store.append(record_run(seed=3, delay=1e-3))
-        assert gate.main(["--warehouse", store.path]) == 0
-        store.append(record_run(seed=3, delay=2.5e-3))
-        assert gate.main(["--warehouse", store.path]) == 1
-        out = capsys.readouterr().out
-        assert "check_warehouse: ok" in out
-        assert "check_warehouse: FAIL" in out
-
     def test_execute_run_rejects_ctx_for_rsm_specs(self):
         from repro.engine import RsmRunSpec
 
