@@ -17,8 +17,8 @@ Four pillars, each its own module:
   attribution (which suspect/partition/nemesis op forced the extra step);
 * :mod:`repro.obs.warehouse` — append-only JSONL store of deterministic
   run summaries with a latency-regression comparator;
-* :mod:`repro.obs.recorder` — bounded per-pid flight recorder attached to
-  safety-checker errors.
+* :mod:`repro.obs.recorder` — per-pid flight recorder: the tail of the
+  trace, attached to safety-checker errors.
 
 Everything here is opt-in: with observability off, runs schedule no extra
 events and emit no extra trace kinds, so existing outputs stay

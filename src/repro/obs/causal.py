@@ -177,10 +177,8 @@ class CausalGraph:
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "CausalGraph":
-        graph = cls()
-        for r in records:
-            graph.add(r.time, r.pid, r.kind, r.data)
-        return graph
+        """Build from live records, which have the shape of rows."""
+        return cls.from_rows(records)
 
     @classmethod
     def from_rows(cls, rows: Iterable[list[Any]]) -> "CausalGraph":
@@ -199,14 +197,15 @@ class CausalGraph:
                     data.get("kind", "?"), data.get("channel", "?"),
                 )
         elif kind == KINDS.MSG_DELIVER:
-            msg_id = data.get("id") if isinstance(data, dict) else None
-            deliver = _Deliver(
-                msg_id if isinstance(msg_id, int) else -1,
-                time, pid,
-                data.get("src", -1) if isinstance(data, dict) else -1,
-                data.get("kind", "?") if isinstance(data, dict) else "?",
-                data.get("channel", "?") if isinstance(data, dict) else "?",
-            )
+            if isinstance(data, dict):
+                msg_id = data.get("id")
+                deliver = _Deliver(
+                    msg_id if isinstance(msg_id, int) else -1,
+                    time, pid, data.get("src", -1),
+                    data.get("kind", "?"), data.get("channel", "?"),
+                )
+            else:
+                deliver = _Deliver(-1, time, pid, -1, "?", "?")
             if deliver.id >= 0 and deliver.id in self.sends:
                 self.delivers[deliver.id] = deliver
             else:

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
 from repro.obs.causal import _ingest, critical_paths
-from repro.sim.trace import TraceRecord, describe_value
+from repro.sim.trace import TraceRecord, describe_value, row_data
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -47,8 +47,12 @@ _CHUNK = 4096
 
 
 def record_rows(records: Iterable[TraceRecord]) -> list[list[Any]]:
-    """Records as JSON-safe ``[time, pid, kind, data]`` rows."""
-    return [[r.time, r.pid, r.kind, describe_value(r.data)] for r in records]
+    """Records as JSON-safe ``[time, pid, kind, data]`` rows (see
+    :func:`~repro.sim.trace.row_data`: a row may share its data with the
+    record)."""
+    return [
+        [time, pid, kind, row_data(kind, data)] for time, pid, kind, data in records
+    ]
 
 
 def export_jsonl(
@@ -101,10 +105,14 @@ def export_chrome(
     by hand and the events are encoded :data:`_CHUNK` at a time, so every
     event goes through the C encoder while neither the full event list nor
     the full output string is ever held in memory.  Spans and the causal
-    graph are built by one shared pass over the records.
+    graph are built by one shared pass over the records.  An event is built
+    here around row-form data, which holds no cycle, so the encoder skips
+    its cycle check.
     """
     records = list(records)
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    encode = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), check_circular=False
+    ).encode
     events = _chrome_events(records)
     out.write('{"displayTimeUnit":"ms","traceEvents":[')
     separator = ""
@@ -126,17 +134,17 @@ def _chrome_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
             "pid": 0,
             "tid": pid,
         }
-    for r in records:
+    for time, pid, kind, data in records:
         yield {
-            "args": {"data": describe_value(r.data)},
-            "name": r.kind,
+            "args": {"data": row_data(kind, data)},
+            "name": kind,
             "ph": "i",
             "pid": 0,
             "s": "t",
-            "tid": r.pid,
-            "ts": r.time * _MICROS,
+            "tid": pid,
+            "ts": time * _MICROS,
         }
-    builder, graph = _ingest((r.time, r.pid, r.kind, r.data) for r in records)
+    builder, graph = _ingest(records)
     for span in builder.consensus_spans():
         if span.propose_at is None or span.decided_at is None:
             continue

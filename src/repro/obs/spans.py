@@ -232,9 +232,8 @@ class SpanBuilder:
     # ------------------------------------------------------------- ingestion
 
     def add_records(self, records: Iterable[TraceRecord]) -> "SpanBuilder":
-        for r in records:
-            self.add(r.time, r.pid, r.kind, r.data)
-        return self
+        """Ingest live records, which have the shape of rows."""
+        return self.add_rows(records)
 
     def add_rows(self, rows: Iterable[list[Any]]) -> "SpanBuilder":
         """Ingest ``[time, pid, kind, data]`` rows from a JSONL export."""

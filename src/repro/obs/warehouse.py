@@ -51,11 +51,11 @@ def build_entry(
     match what offline analysis of the JSONL export would compute.
     """
     from repro.obs.causal import _ingest, _path_summary
-    from repro.sim.trace import describe_value
+    from repro.sim.trace import row_data
 
     # One pass: each record's row form feeds the span and causal sections.
     builder, graph = _ingest(
-        (r.time, r.pid, r.kind, describe_value(r.data)) for r in records
+        (time, pid, kind, row_data(kind, data)) for time, pid, kind, data in records
     )
     entry: dict[str, Any] = {
         "schema": WAREHOUSE_SCHEMA,

@@ -262,9 +262,13 @@ class LinkCapacity:
       uplink, a receiver's on its downlink (store-and-forward switch).
 
     This is the load-dependent component of the latency/throughput curves:
-    at high throughput the per-port queues grow, both inflating delays and
-    perturbing datagram interleavings — which is exactly how spontaneous
-    order degrades on a real LAN as load rises.
+    at high throughput the per-port queues grow and inflate delays.  In
+    ``switched`` mode they do not reorder messages:
+    :meth:`Network.send_batch` books the receiver's downlink when the send
+    is called, so each receiver gets its messages in send-call order,
+    whatever the delay draws.  All receivers see one order, and spontaneous
+    order does not degrade with load.  Serving each port in arrival order
+    instead is item 8(a) of ``ROADMAP.md``.
     """
 
     frame_time: float
@@ -752,9 +756,9 @@ class Network:
         Per cohort: the payload is accounted once, the n message ids are
         reserved, and the delays come from one :meth:`DelayModel.sample_many`
         call unless partitions, filters or datagram loss make admission
-        interleave with the draws.  Per message, in order: admission
-        (:meth:`_admit`), sender-side capacity, datagram loss draw, delay
-        draw, downlink capacity, FIFO floor, heap push.
+        interleave with the draws.  Per message, in order: the obs msg-send
+        record, admission (:meth:`_admit`), sender-side capacity, datagram
+        loss draw, delay draw, downlink capacity, FIFO floor, heap push.
         """
         n = len(dsts)
         if n == 0:
@@ -833,12 +837,18 @@ class Network:
         for dst, deliver, delay in zip(dsts, resolved, delays):
             msg_id += 1
             if not bare:
-                sim._seq = seq  # a duplicating filter schedules its resend
-                envelope, extra = self._admit(src, dst, payload, channel, now, msg_id, kind)
-                seq = sim._seq
-                if extra is None:
-                    continue
-                frame = frame_time if envelope is None else frame_time * envelope.size
+                if tracer is not None:
+                    tracer.emit(
+                        now, src, KINDS.MSG_SEND,
+                        {"dst": dst, "kind": kind, "channel": channel, "id": msg_id},
+                    )
+                if admission:
+                    sim._seq = seq  # a duplicating filter schedules its resend
+                    envelope, extra = self._admit(src, dst, payload, channel, now, msg_id)
+                    seq = sim._seq
+                    if extra is None:
+                        continue
+                    frame = frame_time if envelope is None else frame_time * envelope.size
 
             # Sender-side serialisation: one frame time on the uplink (or
             # the shared medium) before the message propagates.
@@ -870,14 +880,19 @@ class Network:
                     arrival = floor
                 per_src[dst] = arrival
 
-            # (src, payload) straight to deliver_from, or the envelope
-            # through _deliver_to for obs, for filters (their mutations
-            # must reach the receiver) and for envelope-only receivers.
+            # (src, payload) straight to deliver_from, through
+            # _deliver_observed under obs, or the envelope through
+            # _deliver_to for filters (their mutations must reach the
+            # receiver) and for envelope-only receivers.
             # Inlined sim.schedule_call_at: same ``now + (arrival - now)``
             # timestamp bits, minus one frame per message.
-            if deliver is not None and (bare or (envelope is None and tracer is None)):
-                fn = deliver
-                args = bare_args
+            if deliver is not None and envelope is None:
+                if tracer is None:
+                    fn = deliver
+                    args = bare_args
+                else:
+                    fn = self._deliver_observed
+                    args = (tracer, deliver, src, dst, payload, kind, channel, msg_id)
             else:
                 fn = self._deliver_to
                 node = self._nodes[dst]
@@ -902,16 +917,13 @@ class Network:
 
     def _admit(
         self, src: int, dst: int, payload: Any, channel: str, now: float,
-        msg_id: int, kind: str,
+        msg_id: int,
     ) -> "tuple[Envelope | None, float | None]":
-        """Admission of one message: obs record, partition check, filters.
+        """Admission of one message: partition check, filters.
 
         Returns ``(envelope, extra delay)``.  The envelope is None unless a
         filter saw it; the extra delay is None when the message is dropped.
         """
-        if self.obs_tracer is not None:
-            data = {"dst": dst, "kind": kind, "channel": channel, "id": msg_id}
-            self.obs_tracer.emit(now, src, KINDS.MSG_SEND, data)
         if self._partitions and self._partition_blocks(src, dst):
             self.stats.record_partition_blocked()
             return None, None
@@ -931,6 +943,19 @@ class Network:
     def broadcast(self, src: int, payload: Any, channel: str = RELIABLE) -> None:
         """Send ``payload`` from ``src`` to every registered node (incl. src)."""
         self.send_batch(src, self._pids_sorted, payload, channel)
+
+    def _deliver_observed(
+        self, tracer: Any, deliver: Any, src: int, dst: int, payload: Any,
+        kind: str, channel: str, msg_id: int,
+    ) -> None:
+        """Observed arrival at a ``deliver_from`` receiver: the msg-deliver
+        record, with the kind counted at send time, then the envelope-free
+        delivery (no :class:`Envelope` is built)."""
+        tracer.emit(
+            self.sim._now, dst, KINDS.MSG_DELIVER,
+            {"src": src, "kind": kind, "channel": channel, "id": msg_id},
+        )
+        deliver(src, payload)
 
     def _deliver_to(self, node: Any, envelope: Envelope) -> None:
         # Delivered accounting lives in Node.deliver_from (shared with the

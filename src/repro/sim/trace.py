@@ -3,9 +3,10 @@
 Protocols and checkers publish trace records (decisions, deliveries, round
 transitions) to a :class:`Tracer`.  Tests assert on traces; the experiment
 harness derives latency and step-count metrics from them.  Tracing is
-pull-free and allocation-light: a record is a plain tuple appended to a list,
-and subscribers get synchronous callbacks.  A run whose records nobody can
-read back gets a :class:`CountingTracer`, which keeps only per-kind counts.
+pull-free and allocation-light: a record is a named tuple appended to a list,
+the per-kind index is built when first queried, and subscribers get
+synchronous callbacks.  A run whose records nobody can read back gets a
+:class:`CountingTracer`, which keeps only per-kind counts.
 
 The :class:`KINDS` vocabulary covers the full causal story of a run: the
 always-on application events (``a-broadcast``, ``a-deliver``, ``decide``)
@@ -18,10 +19,18 @@ byte-identical when observability is off.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from itertools import islice
+from typing import Any, Callable, Iterable, NamedTuple
 
-__all__ = ["KINDS", "CountingTracer", "TraceRecord", "Tracer", "describe_value"]
+__all__ = [
+    "KINDS",
+    "ROW_KINDS",
+    "CountingTracer",
+    "TraceRecord",
+    "Tracer",
+    "describe_value",
+    "row_data",
+]
 
 
 class KINDS:
@@ -101,6 +110,12 @@ class KINDS:
     )
 
 
+#: Kinds whose data is already in exported row form: their one emitter (the
+#: network) builds each record's data as a fresh flat ``str -> scalar`` dict,
+#: which :func:`describe_value` would only copy and re-sort.  Readers that
+#: turn records into rows take this data as it is (:func:`row_data`).
+ROW_KINDS = frozenset({KINDS.MSG_SEND, KINDS.MSG_DELIVER})
+
 #: Exact types :func:`describe_value` returns unchanged.
 _SCALARS = frozenset({type(None), bool, int, float, str})
 
@@ -114,10 +129,10 @@ def describe_value(value: Any) -> Any:
     reproducible.  This helper sorts set-like values and renders message
     objects by their stable identity instead.
     """
-    # Exact-type fast path for the dominant payload — the flat str -> scalar
-    # dicts of msg-send/msg-deliver — which needs no per-item recursion.
-    # Anything else (subclasses, nesting, non-str keys) takes the general
-    # path below, which gives the same result for these shapes too.
+    # Exact-type fast path for flat str -> scalar dicts, which need no
+    # per-item recursion.  Anything else (subclasses, nesting, non-str
+    # keys) takes the general path below, which gives the same result for
+    # these shapes too.
     if type(value) is dict:
         for key, item in value.items():
             if type(key) is not str or type(item) not in _SCALARS:
@@ -139,9 +154,19 @@ def describe_value(value: Any) -> Any:
     return repr(value)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One traced occurrence."""
+def row_data(kind: str, data: Any) -> Any:
+    """The exported form of one record's data: as it is for
+    :data:`ROW_KINDS`, :func:`describe_value` of it otherwise.
+
+    Rows of those kinds share their dict with the record, so a reader must
+    not mutate them.
+    """
+    return data if kind in ROW_KINDS else describe_value(data)
+
+
+class TraceRecord(NamedTuple):
+    """One traced occurrence: an immutable ``(time, pid, kind, data)``
+    tuple, which is cheaper to build per emit than a frozen dataclass."""
 
     time: float
     pid: int
@@ -152,23 +177,23 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` instances and notifies subscribers.
 
-    An incremental per-kind index is maintained on every emit, making the
-    common queries (:meth:`of_kind`, :meth:`by_pid` with a kind,
-    :meth:`counts`, :meth:`first`) O(result) instead of O(all records).
+    ``emit`` only appends.  The per-kind index behind the common queries
+    (:meth:`of_kind`, :meth:`by_pid` with a kind, :meth:`counts`,
+    :meth:`first`, :meth:`kinds`) is brought up to date when one of them
+    runs, over the records emitted since the last query: a run queried once
+    at its end indexes each record once, and pays nothing while it runs.
     """
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
         self._subscribers: list[Callable[[TraceRecord], None]] = []
         self._by_kind: dict[str, list[TraceRecord]] = {}
+        #: How many leading records ``_by_kind`` holds.
+        self._indexed = 0
 
     def emit(self, time: float, pid: int, kind: str, data: Any = None) -> None:
         record = TraceRecord(time, pid, kind, data)
         self.records.append(record)
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            self._by_kind[kind] = bucket = []
-        bucket.append(record)
         if self._subscribers:
             for fn in self._subscribers:
                 fn(record)
@@ -256,26 +281,39 @@ class Tracer:
 
     # ----------------------------------------------------------------- queries
 
+    def _index(self) -> dict[str, list[TraceRecord]]:
+        """The per-kind index, extended over the records not yet in it."""
+        records = self.records
+        if self._indexed < len(records):
+            by_kind = self._by_kind
+            for record in islice(records, self._indexed, None):
+                bucket = by_kind.get(record.kind)
+                if bucket is None:
+                    by_kind[record.kind] = bucket = []
+                bucket.append(record)
+            self._indexed = len(records)
+        return self._by_kind
+
     def of_kind(self, kind: str) -> list[TraceRecord]:
-        return list(self._by_kind.get(kind, ()))
+        return list(self._index().get(kind, ()))
 
     def by_pid(self, kind: str | None = None) -> dict[int, list[TraceRecord]]:
-        source = self.records if kind is None else self._by_kind.get(kind, ())
+        source = self.records if kind is None else self._index().get(kind, ())
         out: dict[int, list[TraceRecord]] = defaultdict(list)
         for r in source:
             out[r.pid].append(r)
         return dict(out)
 
     def first(self, kind: str) -> TraceRecord | None:
-        bucket = self._by_kind.get(kind)
+        bucket = self._index().get(kind)
         return bucket[0] if bucket else None
 
     def kinds(self) -> set[str]:
-        return set(self._by_kind)
+        return set(self._index())
 
     def counts(self) -> dict[str, int]:
         """Number of records per kind (in first-seen kind order)."""
-        return {kind: len(bucket) for kind, bucket in self._by_kind.items()}
+        return {kind: len(bucket) for kind, bucket in self._index().items()}
 
     def filter(self, predicate: Callable[[TraceRecord], bool]) -> Iterable[TraceRecord]:
         return (r for r in self.records if predicate(r))
@@ -283,6 +321,7 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
         self._by_kind.clear()
+        self._indexed = 0
 
 
 class CountingTracer(Tracer):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim import network as network_mod
 from repro.sim.kernel import Simulator
 from repro.sim.network import (
     DATAGRAM,
@@ -343,6 +344,11 @@ def _observe(net):
     net.obs_tracer = Tracer()
 
 
+def _observe_partitioned(net):
+    _observe(net)
+    _partition(net)
+
+
 def _admission_run(
     cohort: bool,
     setup=None,
@@ -417,6 +423,7 @@ class TestOneSendPath:
         ),
         "obs-tracer": dict(setup=_observe, capacity=SWITCHED),
         "obs-tracer-datagram": dict(setup=_observe, channel=DATAGRAM),
+        "obs-tracer-partitioned": dict(setup=_observe_partitioned),
         "mixed-receivers": dict(envelope_only=(1, 3), capacity=SHARED),
         "mixed-receivers-filtered": dict(envelope_only=(0,), setup=_add_delay),
     }
@@ -440,6 +447,21 @@ class TestOneSendPath:
         assert observed.count("'msg-send'") == observed.count("'msg-deliver'") == 48
         mixed = _admission_run(True, envelope_only=(1, 3))[0]
         assert mixed.count("'payload'") == 48
+
+    def test_observed_delivery_builds_no_envelope(self, monkeypatch):
+        # Under obs alone, a deliver_from receiver gets (src, payload) as
+        # an unobserved run would, and the msg-deliver record reuses the
+        # kind counted at send time.
+        plain = _admission_run(True)
+
+        def no_envelope(*args, **kwargs):
+            raise AssertionError("an observed delivery built an Envelope")
+
+        monkeypatch.setattr(network_mod, "Envelope", no_envelope)
+        observed = _admission_run(True, setup=_observe)
+        assert observed[:6] == plain[:6]
+        assert observed[6].count("'msg-deliver', {'src': ") == 48
+        assert observed[6].count("'kind': 'tuple'") == 96
 
     def test_only_admitted_messages_draw_a_delay(self):
         # Partition-blocked and filter-dropped messages consume no draw:

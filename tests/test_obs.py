@@ -1,16 +1,18 @@
 """Tests for repro.obs: spans, metrics, export/diff, flight recorder, wiring."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+from repro.engine import RunContext
 from repro.engine.runner import (
     execute_run,
     run_abcast_spec,
     run_consensus_spec,
 )
-from repro.engine.spec import AbcastRunSpec, ConsensusRunSpec, RsmRunSpec
+from repro.engine.spec import PAPER_LAN, AbcastRunSpec, ConsensusRunSpec, RsmRunSpec
 from repro.errors import AgreementViolation, ConfigurationError
 from repro.harness import run_consensus
 from repro.obs import (
@@ -26,7 +28,7 @@ from repro.obs import (
     load_trace,
 )
 from repro.obs.export import record_rows
-from repro.sim.trace import KINDS, Tracer
+from repro.sim.trace import KINDS, ROW_KINDS, CountingTracer, Tracer, describe_value
 
 
 def observed_abcast(seed=1, **overrides):
@@ -401,6 +403,21 @@ class TestFlightRecorder:
         assert [row[3] for row in dump[0]] == [7, 8, 9]
         assert len(dump[1]) == 1
 
+    def test_records_before_the_recorder_are_not_dumped(self):
+        tracer = Tracer()
+        tracer.emit(0.5, 0, "evt", "before")
+        recorder = FlightRecorder(tracer, capacity=4)
+        tracer.emit(1.0, 0, "evt", "after")
+        assert [row[3] for row in recorder.dump()[0]] == ["after"]
+
+    def test_a_counting_tracer_is_rejected(self):
+        # A CountingTracer stores no records, so the recorder would dump
+        # nothing, silently.
+        with pytest.raises(ConfigurationError, match="CountingTracer"):
+            FlightRecorder(CountingTracer(), capacity=4)
+        with pytest.raises(ConfigurationError):
+            ObsRuntime(ObsConfig(flight_recorder=8), tracer=CountingTracer())
+
     def test_close_detaches_from_the_tracer(self):
         tracer = Tracer()
         recorder = FlightRecorder(tracer, capacity=4)
@@ -460,3 +477,89 @@ class TestObsRuntime:
         assert runtime.config == ObsConfig(
             detail=True, metrics_interval=0.1, flight_recorder=16
         )
+
+
+def _perturbation_specs():
+    """Same-seed specs run with obs on and off by TestPerturbation."""
+    return [
+        pytest.param(
+            AbcastRunSpec(
+                "cabcast-l",
+                rate=300,
+                duration=0.4,
+                seed=3,
+                drain=1.0,
+                cluster=PAPER_LAN,
+                obs=True,
+                obs_metrics_interval=0.05,
+                obs_flight_recorder=256,
+            ),
+            id="abcast-obs-explain-shape",
+        ),
+        pytest.param(
+            AbcastRunSpec("wabcast", rate=200, duration=0.4, seed=4, drain=1.0, obs=True),
+            id="wabcast",
+        ),
+        pytest.param(
+            RsmRunSpec(
+                "cabcast-l",
+                rate=200.0,
+                duration=1.0,
+                clients=4,
+                seed=5,
+                crash_at=((1, 0.3),),
+                recover_after=0.25,
+                obs=True,
+                obs_metrics_interval=0.1,
+                obs_flight_recorder=64,
+            ),
+            id="rsm-crash-recovery",
+        ),
+    ]
+
+
+class TestPerturbation:
+    """Observing a run reads simulation state and never changes it."""
+
+    @pytest.mark.parametrize("observed", _perturbation_specs())
+    def test_report_is_the_same_with_obs_on_and_off(self, observed):
+        plain = dataclasses.replace(
+            observed, obs=False, obs_metrics_interval=0.0, obs_flight_recorder=0
+        )
+        on = json.loads(execute_run(observed).to_json())
+        off = json.loads(execute_run(plain).to_json())
+        # The spec (hence key) names the obs knobs, the obs section exists
+        # only when observed, and the detailed kinds add trace counts.
+        for name in ("key", "spec", "obs", "trace_counts"):
+            on.pop(name, None)
+            off.pop(name, None)
+        assert on == off
+        if isinstance(observed, RsmRunSpec):
+            assert on["rsm"]["recovery"]["1"]["digest_match"] is True
+
+
+class TestRowKinds:
+    """Readers take ROW_KINDS data as it is, so it must already be a row."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AbcastRunSpec("cabcast-l", rate=150, duration=0.3, seed=2, drain=1.0, obs=True),
+            RsmRunSpec(
+                "cabcast-l", rate=150.0, duration=0.6, clients=4, seed=6,
+                crash_at=((2, 0.2),), obs=True,
+            ),
+        ],
+        ids=["abcast", "rsm"],
+    )
+    def test_row_kind_data_is_flat_and_already_described(self, spec):
+        runtime = ObsRuntime.from_spec(spec)
+        execute_run(spec, ctx=RunContext(obs=runtime))
+        rows = [r for r in runtime.tracer.records if r.kind in ROW_KINDS]
+        assert {r.kind for r in rows} == ROW_KINDS
+        scalars = (type(None), bool, int, float, str)
+        for r in rows:
+            assert type(r.data) is dict, r
+            for key, value in r.data.items():
+                assert type(key) is str and type(value) in scalars, r
+            assert describe_value(r.data) == r.data

@@ -67,6 +67,22 @@ class TestTracer:
         tracer.emit(1.0, 0, "a")
         tracer.clear()
         assert tracer.records == []
+        assert tracer.counts() == {}
+
+    def test_queries_see_records_emitted_after_an_earlier_query(self):
+        # The per-kind index is built on the first query and extended by
+        # later ones, never on emit.
+        tracer = Tracer()
+        tracer.emit(1.0, 0, "a")
+        assert tracer.counts() == {"a": 1}
+        tracer.emit(2.0, 1, "b")
+        tracer.emit(3.0, 0, "a")
+        assert list(tracer.counts().items()) == [("a", 2), ("b", 1)]
+        assert [r.time for r in tracer.of_kind("a")] == [1.0, 3.0]
+        assert tracer.first("b").time == 2.0
+        tracer.clear()
+        tracer.emit(4.0, 0, "c")
+        assert tracer.kinds() == {"c"}
 
 
 class TestCountingTracer:
