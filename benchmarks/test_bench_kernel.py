@@ -50,8 +50,8 @@ CELL_RATE = 300.0
 CELL_DURATION = 1.0 if not SMOKE else 0.1
 
 #: Where the session writes its measurements.  ``REPRO_BENCH_OUT`` points it
-#: elsewhere — CI's smoke run uses this so the checked-in baseline survives
-#: to be compared against (see ``check_bench.py``).
+#: elsewhere — CI's smoke run uses this so the checked-in file stays as it
+#: is; both are archived side by side.
 OUT_PATH = Path(
     os.environ.get("REPRO_BENCH_OUT")
     or Path(__file__).resolve().parent / "BENCH_kernel.json"

@@ -716,6 +716,41 @@ def _sweep_progress_printer():
     return progress
 
 
+def _run_cli_sweep(args: argparse.Namespace, specs: list):
+    """Run a sweep grid, reporting progress, notes and cache use on stderr."""
+    progress = _sweep_progress_printer() if args.progress else None
+    sweep = run_sweep(specs, jobs=args.jobs, cache=args.cache, progress=progress)
+    if progress is not None:
+        print(file=sys.stderr)  # terminate the \r progress line
+    for note in sweep.notes:
+        print(f"note     : {note}", file=sys.stderr)
+    if args.cache is not None:
+        print(
+            f"cache    : {sweep.cache_hits} hits, {sweep.cache_misses} misses "
+            f"({sweep.hit_rate:.0%} hit rate) in {args.cache}",
+            file=sys.stderr,
+        )
+    return sweep
+
+
+def _write_sweep_json(args: argparse.Namespace, sweep, names, **axes) -> None:
+    """Write the sweep's ``--json`` document: its grid (the protocols, the
+    swept ``axes``, duration, seed, repeats) and every run."""
+    if not args.json_out:
+        return
+    grid = {"protocols": names, **axes}
+    grid.update(duration=args.duration, seed=args.seed, repeats=args.repeats)
+    document = {
+        "schema": SWEEP_JSON_SCHEMA,
+        "grid": grid,
+        "runs": [report.to_dict() for report in sweep.reports],
+    }
+    with open(args.json_out, "w") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote    : {args.json_out}", file=sys.stderr)
+
+
 def _sweep_shard_axis(args: argparse.Namespace, names, rates) -> int:
     """Scale-out sweep: shard count × group size at one offered rate.
 
@@ -748,18 +783,7 @@ def _sweep_shard_axis(args: argparse.Namespace, names, rates) -> int:
         f"group sizes {sizes} at {rate:.0f} ops/s ...",
         file=sys.stderr,
     )
-    progress = _sweep_progress_printer() if args.progress else None
-    sweep = run_sweep(specs, jobs=args.jobs, cache=args.cache, progress=progress)
-    if progress is not None:
-        print(file=sys.stderr)
-    for note in sweep.notes:
-        print(f"note     : {note}", file=sys.stderr)
-    if args.cache is not None:
-        print(
-            f"cache    : {sweep.cache_hits} hits, {sweep.cache_misses} misses "
-            f"({sweep.hit_rate:.0%} hit rate) in {args.cache}",
-            file=sys.stderr,
-        )
+    sweep = _run_cli_sweep(args, specs)
 
     # Pool repeats into one point per (protocol, shard count, group size).
     latency: dict[str, list[float]] = {}
@@ -808,24 +832,9 @@ def _sweep_shard_axis(args: argparse.Namespace, names, rates) -> int:
             )
         )
 
-    if args.json_out:
-        document = {
-            "schema": SWEEP_JSON_SCHEMA,
-            "grid": {
-                "protocols": names,
-                "rate": rate,
-                "shards": shard_counts,
-                "group_sizes": sizes,
-                "duration": args.duration,
-                "seed": args.seed,
-                "repeats": args.repeats,
-            },
-            "runs": [report.to_dict() for report in sweep.reports],
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote    : {args.json_out}", file=sys.stderr)
+    _write_sweep_json(
+        args, sweep, names, rate=rate, shards=shard_counts, group_sizes=sizes
+    )
     return 0
 
 
@@ -856,18 +865,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name in names:
         group = PROTOCOLS[name].default_n or args.n
         print(f"sweeping {name} (n={group}) ...", file=sys.stderr)
-    progress = _sweep_progress_printer() if args.progress else None
-    sweep = run_sweep(specs, jobs=args.jobs, cache=args.cache, progress=progress)
-    if progress is not None:
-        print(file=sys.stderr)  # terminate the \r progress line
-    for note in sweep.notes:
-        print(f"note     : {note}", file=sys.stderr)
-    if args.cache is not None:
-        print(
-            f"cache    : {sweep.cache_hits} hits, {sweep.cache_misses} misses "
-            f"({sweep.hit_rate:.0%} hit rate) in {args.cache}",
-            file=sys.stderr,
-        )
+    sweep = _run_cli_sweep(args, specs)
 
     # Pool repeats into one curve point per (protocol, rate).
     curves: dict[str, list[float]] = {}
@@ -897,23 +895,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
 
-    if args.json_out:
-        document = {
-            "schema": SWEEP_JSON_SCHEMA,
-            "grid": {
-                "protocols": names,
-                "rates": rates,
-                "n": args.n,
-                "duration": args.duration,
-                "seed": args.seed,
-                "repeats": args.repeats,
-            },
-            "runs": [report.to_dict() for report in sweep.reports],
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote    : {args.json_out}", file=sys.stderr)
+    _write_sweep_json(args, sweep, names, rates=rates, n=args.n)
     return 0
 
 

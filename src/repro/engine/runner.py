@@ -53,11 +53,10 @@ def run_rsm_spec(
     ctx: RunContext | None = None,
     workers_cap: int | None = None,
 ):
-    """Execute one RSM service spec; returns an ``RsmRunResult`` (or a
-    ``ShardedRsmRunResult`` when the spec's topology asks for shards or the
-    workload includes cross-shard transactions).  ``workers_cap`` bounds the
-    parallel path's worker processes — an execution knob, never part of the
-    spec or its cache key."""
+    """Execute one RSM service spec, on one group or many; returns an
+    ``RsmRunResult``.  ``workers_cap`` bounds the parallel path's worker
+    processes — an execution knob, never part of the spec or its cache
+    key."""
     from repro.rsm.runner import run_rsm
 
     return run_rsm(spec, ctx=ctx, workers_cap=workers_cap)

@@ -11,8 +11,7 @@ machine that ran it.
 
 ``repro obs record`` appends entries, ``repro obs report`` tabulates a
 store, and ``repro obs compare`` flags latency regressions between two
-entries in the ``check_bench.py`` style: per-metric ratios against a
-tolerance, exit 1 on regression.
+entries: per-metric ratios against a tolerance, exit 1 on regression.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ tolerant KV service with the full production shape:
 * :mod:`repro.rsm.client` — open/closed-loop session drivers with
   crash failover;
 * :mod:`repro.rsm.runner` — :func:`run_rsm` executing an
-  :class:`~repro.engine.spec.RsmRunSpec` end to end, with the service
-  guarantees (exactly-once, session order, log agreement, linearizability,
-  recovery convergence) checked on every run;
-* :mod:`repro.rsm.shard` — many consensus groups in one kernel: the
-  :class:`ShardRouter` keyspace partition, shard-pinned sessions, and
-  cross-shard transactions via 2PC (:func:`run_sharded_rsm`), with
-  cross-shard serializability checked on top of the per-shard guarantees.
+  :class:`~repro.engine.spec.RsmRunSpec` end to end on one or many
+  consensus groups, with the service guarantees (exactly-once, session
+  order, log agreement, linearizability, recovery convergence, and for
+  sharded runs cross-shard serializability) checked on every run;
+* :mod:`repro.rsm.shard` — what a sharded run adds: the
+  :class:`ShardRouter` keyspace partition and cross-shard transactions via
+  2PC (:class:`TxnDriver`).
 """
 
 from repro.rsm.batcher import BATCH_TIMER, Batcher
@@ -52,14 +52,7 @@ from repro.rsm.replica import (
 )
 from repro.rsm.runner import RsmRunResult, run_rsm, service_metrics
 from repro.rsm.session import DedupTable, Request
-from repro.rsm.shard import (
-    ShardedRsmRunResult,
-    ShardRouter,
-    TxnDriver,
-    TxnRecord,
-    run_sharded_rsm,
-    sharded_service_metrics,
-)
+from repro.rsm.shard import ShardRouter, TxnDriver, TxnRecord
 
 __all__ = [
     "Command",
@@ -89,9 +82,6 @@ __all__ = [
     "service_metrics",
     "ShardRouter",
     "ShardKeyStream",
-    "ShardedRsmRunResult",
     "TxnDriver",
     "TxnRecord",
-    "run_sharded_rsm",
-    "sharded_service_metrics",
 ]

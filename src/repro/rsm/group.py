@@ -4,13 +4,13 @@ A *replica group* is one instance of the paper's C-Abcast (or any other
 registered abcast protocol) replicating one state machine: a failure
 detector, ``group_size`` :class:`~repro.rsm.replica.RsmReplica` nodes, the
 serving set clients fail over within, the sessions pinned to the group, and
-the crash → learner-rejoin path.  The three runners differ only in how many
-groups they put on how many kernels:
+the crash → learner-rejoin path.  The two runners differ only in how many
+kernels they put the groups on:
 
-* :func:`repro.rsm.runner.run_rsm` — one group on one kernel;
-* :func:`repro.rsm.shard.run_sharded_rsm` — N groups on one kernel, plus the
-  key router, the 2PC :class:`~repro.rsm.shard.TxnDriver` sessions and the
-  cross-shard serializability check;
+* :func:`repro.rsm.runner.run_rsm` — every group on one kernel (one group
+  for an unsharded spec), plus, when sharded, the key router, the 2PC
+  :class:`~repro.rsm.shard.TxnDriver` sessions and the cross-shard
+  serializability check;
 * :func:`repro.rsm.parallel.run_parallel_sharded_rsm` — N groups on N
   kernels, one per worker-process task.
 
@@ -177,6 +177,8 @@ class ReplicaGroup:
             detection_delay=cluster.detection_delay,
             initially_crashed=self.initially_crashed,
         )
+        if fabric.detail:
+            self.oracle.tracer = fabric.tracer  # suspect/trust/leader-change
         self.replicas: dict[int, RsmReplica] = {}  # final incarnation per pid
         self.nodes: dict[int, Node] = {}
         for pid in self.pids:

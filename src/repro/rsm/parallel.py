@@ -12,8 +12,8 @@ map (:func:`repro.sim.parallel.run_partitions`): build the shard's
 storage, its own shard-filtered nemesis schedule — run it to
 ``spec.horizon``, check it, and return the
 :class:`~repro.rsm.group.ShardOutcome`.  The parent merges the outcomes into
-the same :class:`~repro.rsm.shard.ShardedRsmRunResult` the serial runner
-returns; metrics and reports read nothing else.
+the same :class:`~repro.rsm.runner.RsmRunResult` the serial runner returns;
+metrics and reports read nothing else.
 
 Cross-shard 2PC sessions *would* exchange messages between shards, which is
 why ``parallel=True`` with ``txn_clients > 0`` is rejected at spec
@@ -53,7 +53,8 @@ from repro.rsm.group import (
     check_acknowledged,
     launch,
 )
-from repro.rsm.shard import ShardedRsmRunResult, ShardRouter, shard_pid_groups
+from repro.rsm.runner import RsmRunResult
+from repro.rsm.shard import ShardRouter, shard_pid_groups
 from repro.sim.kernel import derive_seed
 from repro.sim.parallel import PartitionPlan, run_partitions
 from repro.sim.trace import CountingTracer, Tracer
@@ -220,7 +221,7 @@ def run_parallel_sharded_rsm(
     spec: RsmRunSpec,
     ctx: RunContext | None = None,
     workers_cap: int | None = None,
-) -> ShardedRsmRunResult:
+) -> RsmRunResult:
     """Run one sharded spec with one kernel per shard group, then merge.
 
     ``workers_cap`` is an *execution* limit (the sweep scheduler's share of
@@ -287,11 +288,8 @@ def run_parallel_sharded_rsm(
         raise ctx.attach_failure(err)
 
     events = [o.kernel["events_processed"] for o in outcomes]
-    return ShardedRsmRunResult(
+    return RsmRunResult(
         spec=spec,
-        router=ShardRouter(
-            spec.topology.groups, spec.keys, spec.topology.partitioner
-        ),
         outcomes=outcomes,
         duration=max((o.kernel["now"] for o in outcomes), default=0.0),
         network_stats=merge_network_stats([o.network_stats for o in outcomes]),

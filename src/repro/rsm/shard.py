@@ -21,12 +21,13 @@ inside one deterministic :class:`~repro.sim.kernel.Simulator`, sharing one
   replicated decision record makes the outcome crash-safe through the
   snapshot/rejoin path.
 
-Validation extends the single-group checks per shard (total order, exactly
-once, session order, log agreement, linearizability by replay, digest and
-learner convergence) with cross-shard serializability: the commit order of
-transactions on each shard defines conflict edges (shared keys), and the
-union over shards must stay acyclic
-(:func:`repro.harness.checkers.check_cross_shard_serializable`).
+:func:`repro.rsm.runner.run_rsm` runs the groups and extends the per-group
+checks (total order, exactly once, session order, log agreement,
+linearizability by replay, digest and learner convergence) with
+cross-shard serializability — the commit order of transactions on each
+shard defines conflict edges (shared keys), and the union over shards must
+stay acyclic (:func:`repro.harness.checkers.check_cross_shard_serializable`)
+— and with :func:`check_txns_finished`.
 """
 
 from __future__ import annotations
@@ -36,22 +37,12 @@ from dataclasses import dataclass, field
 from typing import Any
 from zlib import crc32
 
-from repro.engine.context import RunContext
 from repro.engine.spec import PARTITIONERS, RsmRunSpec
-from repro.errors import ConfigurationError, ReproError, TerminationFailure
-from repro.harness.checkers import check_cross_shard_serializable
-from repro.harness.cluster import Fabric
+from repro.errors import ConfigurationError, TerminationFailure
 from repro.rsm.client import ServingSet, _PendingRequest
-from repro.rsm.group import (
-    ReplicaGroup,
-    ShardOutcome,
-    check_acknowledged,
-    launch,
-    session_stats,
-)
+from repro.rsm.group import ReplicaGroup
 from repro.rsm.machine import TxnCommand
-from repro.rsm.replica import SUBMIT_TIMER, RsmReplica
-from repro.rsm.runner import latency_summary_ms, window_commit_latencies
+from repro.rsm.replica import SUBMIT_TIMER
 from repro.rsm.session import Request
 from repro.sim.kernel import derive_seed
 from repro.sim.node import Node
@@ -61,10 +52,9 @@ __all__ = [
     "ShardRouter",
     "TxnRecord",
     "TxnDriver",
-    "ShardedRsmRunResult",
-    "run_sharded_rsm",
+    "check_txns_finished",
     "shard_pid_groups",
-    "sharded_service_metrics",
+    "txn_sessions",
 ]
 
 
@@ -74,9 +64,10 @@ def shard_pid_groups(spec: RsmRunSpec) -> tuple[tuple[int, ...], ...]:
     This is the assignment shared by the serial runner and the one-kernel-
     per-shard parallel path (:mod:`repro.rsm.parallel`): pids are numbered
     ``shard * group_size .. (shard + 1) * group_size - 1``, so a parallel
-    run's traces carry exactly the serial runner's pids.
+    run's traces carry exactly the serial runner's pids.  An unsharded
+    spec is one group of pids ``0 .. n - 1``.
     """
-    gsize = spec.group_size
+    gsize = spec.group_size if spec.is_sharded else spec.n
     return tuple(
         tuple(range(s * gsize, (s + 1) * gsize))
         for s in range(spec.topology.groups)
@@ -351,229 +342,54 @@ class TxnDriver:
         return sum(1 for t in self.txns if t.decision == "abort")
 
 
-@dataclass
-class ShardedRsmRunResult:
-    """Everything a finished sharded RSM run exposes to metrics and tests.
+def txn_sessions(
+    spec: RsmRunSpec,
+    router: ShardRouter,
+    groups: list[ReplicaGroup],
+    tracer=None,
+) -> dict[int, TxnDriver]:
+    """The run's 2PC sessions, numbered after the plain ones.
 
-    ``outcomes`` — one checked :class:`~repro.rsm.group.ShardOutcome` per
-    shard, in shard order — is the plain data every metric is computed from,
-    identically whether the shards shared this process's kernel or each ran
-    on its own in a worker.  The live objects (``replicas`` … ``nodes``)
-    exist only for a one-kernel run; a parallel run leaves them empty,
-    carries summed kernel counters as ``sim`` and adds its ``parallel``
-    report section.
+    Session ``t`` homes on each shard's ``t``-th serving replica (mod the
+    shard's size) and starts ``t + 1`` evenly spaced steps into its first
+    think time.
     """
-
-    spec: RsmRunSpec
-    router: ShardRouter
-    outcomes: list[ShardOutcome]
-    duration: float
-    network_stats: dict
-    sim: Any = field(repr=False)
-    replicas: dict[int, RsmReplica] = field(default_factory=dict)  # final incarnations
-    first_lives: dict[int, RsmReplica] = field(default_factory=dict)
-    learners: dict[int, RsmReplica] = field(default_factory=dict)
-    drivers: dict[int, Any] = field(default_factory=dict)  # SessionDriver | TxnDriver
-    txn_drivers: dict[int, TxnDriver] = field(default_factory=dict)
-    nodes: dict[int, Node] = field(repr=False, default_factory=dict)
-    parallel: dict | None = None
-    parallel_stats: dict | None = field(repr=False, default=None)
-
-    @property
-    def shards(self) -> int:
-        return self.router.groups
-
-    @property
-    def authorities(self) -> dict[int, int]:
-        """shard -> pid of its reference survivor."""
-        return {o.shard: o.authority for o in self.outcomes}
-
-    @property
-    def commit_orders(self) -> dict[int, list[tuple[str, tuple[str, ...]]]]:
-        return {o.shard: o.commit_order for o in self.outcomes}
-
-    @property
-    def crashed(self) -> list[int]:
-        return [pid for o in self.outcomes for pid in o.crashed]
-
-    @property
-    def linearizable(self) -> bool:
-        return all(o.linearizable for o in self.outcomes)
-
-    @property
-    def sessions(self) -> dict[int, dict]:
-        """session -> plain latency/pending/retry stats, in session order
-        (the shards' pinned sessions, then the 2PC sessions)."""
-        pinned = {s: stats for o in self.outcomes for s, stats in o.sessions.items()}
-        merged = {session: pinned[session] for session in sorted(pinned)}
-        for session, driver in self.txn_drivers.items():
-            merged[session] = session_stats(driver)
-        return merged
-
-    @property
-    def committed(self) -> int:
-        return sum(o.applied_index for o in self.outcomes)
-
-    def shard_pids(self, shard: int) -> list[int]:
-        gsize = self.spec.group_size
-        return list(range(shard * gsize, (shard + 1) * gsize))
-
-    def digests(self) -> dict[int, str]:
-        return {pid: replica.digest() for pid, replica in self.replicas.items()}
-
-
-def run_sharded_rsm(
-    spec: RsmRunSpec, ctx: RunContext | None = None
-) -> ShardedRsmRunResult:
-    """Run one sharded RSM spec: all shard groups in one kernel, checked.
-
-    N :class:`~repro.rsm.group.ReplicaGroup` assemblies on one fabric, plus
-    what only a multi-group run has: the key router, the 2PC sessions and
-    the cross-shard serializability check.
-    """
-    ctx = ctx if ctx is not None else RunContext()
-    groups_n = spec.topology.groups
-    router = ShardRouter(groups_n, spec.keys, spec.topology.partitioner)
-    fabric = Fabric.fresh(spec.cluster, spec.seed, spec.batch, ctx.tracer, ctx.detail)
-    groups = [
-        ReplicaGroup(spec, fabric, shard, router.keys_for(shard))
-        for shard in range(groups_n)
-    ]
-    if ctx.obs is not None:
-        ctx.obs.install(fabric.sim, network=fabric.network)
-
+    if not spec.txn_clients:
+        return {}
     nodes = {pid: node for group in groups for pid, node in group.nodes.items()}
     servings = {group.shard: group.serving for group in groups}
-    txn_drivers: dict[int, TxnDriver] = {}
-    if spec.txn_clients:
-        txn_think = spec.txn_clients / spec.txn_rate
-        for t in range(spec.txn_clients):
-            session = spec.clients + t  # txn sessions own a disjoint id space
-            txn_drivers[session] = TxnDriver(
-                session=session,
-                router=router,
-                nodes=nodes,
-                servings=servings,
-                homes={
-                    s: serving.pids()[t % len(serving.pids())]
-                    for s, serving in servings.items()
-                },
-                duration=spec.duration,
-                think_time=txn_think,
-                txn_keys=spec.txn_keys,
-                rng=random.Random(derive_seed(spec.seed, "rsm-txn", session)),
-                start_at=txn_think * (t + 1) / spec.txn_clients,
-                failover_delay=spec.failover_delay,
-                tracer=ctx.tracer,
-            )
-    drivers = launch(groups, nemesis=spec.nemesis, extra_drivers=txn_drivers)
-    fabric.sim.run(until=spec.horizon, max_events=spec.max_events)
-
-    result = ShardedRsmRunResult(
-        spec=spec,
-        router=router,
-        outcomes=[group.check() for group in groups],
-        duration=fabric.sim.now,
-        network_stats=fabric.network.stats.snapshot(),
-        sim=fabric.sim,
-        replicas={p: r for group in groups for p, r in group.replicas.items()},
-        first_lives={p: r for group in groups for p, r in group.first_lives.items()},
-        learners={p: r for group in groups for p, r in group.learners.items()},
-        drivers=drivers,
-        txn_drivers=txn_drivers,
-        nodes=nodes,
-    )
-    try:
-        for outcome in result.outcomes:
-            if outcome.failure is not None:
-                raise outcome.failure
-        if spec.check:
-            check_cross_shard_serializable(result.commit_orders)
-            unfinished = {
-                session: [t.txid for t in driver.txns if t.end_at is None]
-                for session, driver in txn_drivers.items()
-                if any(t.end_at is None for t in driver.txns)
-            }
-            if unfinished:
-                raise TerminationFailure(
-                    f"transactions never completed within the horizon: {unfinished}"
-                )
-            check_acknowledged(result.sessions)
-    except ReproError as err:
-        raise ctx.attach_failure(err)
-    return result
+    think = spec.txn_clients / spec.txn_rate
+    drivers: dict[int, TxnDriver] = {}
+    for t in range(spec.txn_clients):
+        session = spec.clients + t  # txn sessions own a disjoint id space
+        drivers[session] = TxnDriver(
+            session=session,
+            router=router,
+            nodes=nodes,
+            servings=servings,
+            homes={
+                s: serving.pids()[t % len(serving.pids())]
+                for s, serving in servings.items()
+            },
+            duration=spec.duration,
+            think_time=think,
+            txn_keys=spec.txn_keys,
+            rng=random.Random(derive_seed(spec.seed, "rsm-txn", session)),
+            start_at=think * (t + 1) / spec.txn_clients,
+            failover_delay=spec.failover_delay,
+            tracer=tracer,
+        )
+    return drivers
 
 
-def sharded_service_metrics(result: ShardedRsmRunResult) -> dict:
-    """JSON-safe metrics section for a sharded run (``RunReport.rsm``).
-
-    Mirrors the single-group section's aggregate fields (so plotting and the
-    CLI read both shapes), then adds ``topology``, per-shard breakdowns and
-    the 2PC transaction counters.  Everything per-shard comes from
-    ``result.outcomes``, so serial and parallel runs share this one path.
-    """
-    spec = result.spec
-    outcomes = result.outcomes
-    offered, latencies = window_commit_latencies(result)
-    window = spec.duration - spec.warmup
-
-    per_shard = {
-        str(o.shard): {
-            "authority": o.authority,
-            "committed": o.applied_index,
-            "txns_committed": len(o.commit_order),
-            "digest": o.digest,
-            "crashed": o.crashed,
-        }
-        for o in outcomes
+def check_txns_finished(drivers: dict[int, TxnDriver]) -> None:
+    """Every transaction a 2PC session began reached its end by the horizon."""
+    unfinished = {
+        session: [t.txid for t in driver.txns if t.end_at is None]
+        for session, driver in drivers.items()
+        if any(t.end_at is None for t in driver.txns)
     }
-
-    txns = [t for d in result.txn_drivers.values() for t in d.txns]
-    txn_section = {
-        "sessions": spec.txn_clients,
-        "started": len(txns),
-        "committed": sum(1 for t in txns if t.decision == "commit"),
-        "aborted": sum(1 for t in txns if t.decision == "abort"),
-        "conflicts": sum(
-            1 for t in txns if any(v == "conflict" for v in t.votes.values())
-        ),
-    }
-
-    recovery = {
-        str(pid): {
-            "installed_index": learner["installed_index"],
-            "replayed": learner["replayed"],
-            "snapshot_installs": learner["snapshot_installs"],
-            "digest_match": learner["digest"] == o.digest,
-        }
-        for o in outcomes
-        for pid, learner in o.learner_stats.items()
-    }
-
-    section = {
-        "committed": result.committed,
-        "offered_window": offered,
-        "committed_window": len(latencies),
-        "ops_per_s": (len(latencies) / window) if window > 0 else 0.0,
-        "latency_ms": latency_summary_ms(latencies),
-        "topology": spec.topology.to_dict(),
-        "shards": per_shard,
-        "txns": txn_section,
-        "dedup": {
-            "suppressed": sum(o.dedup_suppressed for o in outcomes),
-            "retries": sum(s["retries"] for s in result.sessions.values()),
-        },
-        "snapshots": {
-            "taken": sum(o.snapshots_taken for o in outcomes),
-            "bytes": sum(o.snapshot_bytes for o in outcomes),
-        },
-        "sessions": spec.clients,
-        "crashed": result.crashed,
-        "recovery": recovery,
-        "linearizable": result.linearizable,
-    }
-    # A parallel run adds its deterministic summary (partitions, requested
-    # workers, per-partition event balance).
-    if result.parallel:
-        section["parallel"] = result.parallel
-    return section
+    if unfinished:
+        raise TerminationFailure(
+            f"transactions never completed within the horizon: {unfinished}"
+        )

@@ -142,6 +142,36 @@ class TestCli:
         assert "2 hits, 0 misses (100% hit rate)" in second_err
         assert (tmp_path / "out.json").read_bytes() == first_json
 
+    def test_shard_axis_sweep_cache_repeat_is_all_hits_and_identical(
+        self, tmp_path, capsys
+    ):
+        args = [
+            "sweep",
+            "--shards",
+            "1,2",
+            "--rates",
+            "100",
+            "--duration",
+            "0.3",
+            "--cache",
+            str(tmp_path / "cache"),
+            "--json",
+            str(tmp_path / "out.json"),
+            "--progress",
+        ]
+        assert main(args) == 0
+        first_json = (tmp_path / "out.json").read_bytes()
+        first = capsys.readouterr()
+        assert "6 misses" in first.err and "[6/6]" in first.err
+        assert main(args) == 0
+        second = capsys.readouterr()
+        assert "6 hits, 0 misses (100% hit rate)" in second.err
+        assert second.out == first.out
+        assert (tmp_path / "out.json").read_bytes() == first_json
+        document = json.loads(first_json)
+        assert document["grid"]["shards"] == [1, 2]
+        assert len(document["runs"]) == 6
+
     def test_sweep_parallel_jobs(self, capsys):
         code = main(
             [

@@ -238,8 +238,9 @@ class TestSpecSurface:
             parallel=True,
         )
         result = run_rsm(spec)
-        # The unsharded runner served it: no parallel section, no stubs.
-        assert not hasattr(result, "parallel")
+        # The serial kernel served it: no parallel section, live nodes.
+        assert result.parallel is None
+        assert result.nodes
         assert result.committed > 0
 
     def test_obs_metrics_rejected(self):

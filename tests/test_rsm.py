@@ -383,7 +383,7 @@ class TestGroupAssembly:
         assert len(tracer.records) > 0
         assert trace_bytes(tracer) == trace_bytes(reference)
         assert outcome.failure is None
-        assert outcome == result.outcome
+        assert [outcome] == result.outcomes
         assert sorted(drivers) == sorted(result.drivers) == list(range(spec.clients))
         assert set(group.learners) == {2}
 

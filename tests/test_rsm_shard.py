@@ -22,8 +22,6 @@ from repro.rsm import (
     ShardRouter,
     TxnCommand,
     TxnKvStore,
-    run_sharded_rsm,
-    sharded_service_metrics,
 )
 from repro.rsm.runner import run_rsm, service_metrics
 
@@ -213,7 +211,7 @@ class TestTopologyCompat:
 
 class TestShardedRuns:
     def test_basic_two_shard_run(self):
-        result = run_sharded_rsm(sharded_spec())
+        result = run_rsm(sharded_spec())
         assert result.shards == 2
         assert result.committed > 0
         assert result.linearizable
@@ -233,12 +231,12 @@ class TestShardedRuns:
 
     def test_same_seed_is_deterministic(self):
         spec = sharded_spec(txn_clients=2, txn_rate=20.0)
-        first = sharded_service_metrics(run_sharded_rsm(spec))
-        second = sharded_service_metrics(run_sharded_rsm(spec))
+        first = service_metrics(run_rsm(spec))
+        second = service_metrics(run_rsm(spec))
         assert first == second
 
     def test_transactions_commit_across_shards(self):
-        result = run_sharded_rsm(
+        result = run_rsm(
             sharded_spec(topology=TopologySpec(groups=4), txn_clients=2, txn_rate=20.0)
         )
         txns = [t for d in result.txn_drivers.values() for t in d.txns]
@@ -255,7 +253,7 @@ class TestShardedRuns:
     def test_conflicts_abort_under_contention(self):
         # A tiny range-partitioned key space with several txn sessions forces
         # lock conflicts; conflicting prepares must abort, not deadlock.
-        result = run_sharded_rsm(
+        result = run_rsm(
             sharded_spec(
                 keys=4,
                 topology=TopologySpec(groups=2, partitioner="range"),
@@ -264,7 +262,7 @@ class TestShardedRuns:
                 duration=0.5,
             )
         )
-        metrics = sharded_service_metrics(result)
+        metrics = service_metrics(result)
         assert metrics["txns"]["started"] > 0
         assert metrics["linearizable"]
 
@@ -280,9 +278,9 @@ class TestShardedRuns:
             crash_at=((0, 0.25), (5, 0.3)),
             recover_after=0.2,
         )
-        result = run_sharded_rsm(spec)
+        result = run_rsm(spec)
         assert sorted(result.crashed) == [0, 5]
-        metrics = sharded_service_metrics(result)
+        metrics = service_metrics(result)
         assert metrics["linearizable"]
         for info in metrics["recovery"].values():
             assert info["digest_match"]
@@ -298,9 +296,46 @@ class TestShardedRuns:
             crash_at=((0, 0.25),),
             recover_after=0.2,
         )
-        first = sharded_service_metrics(run_sharded_rsm(spec))
-        second = sharded_service_metrics(run_sharded_rsm(spec))
+        first = service_metrics(run_rsm(spec))
+        second = service_metrics(run_rsm(spec))
         assert first == second
+
+    def test_serial_report_json_frozen(self):
+        # The whole report of a serial sharded run (2PC sessions, a crash and
+        # a learner rejoin), pinned byte for byte.
+        import hashlib
+
+        from repro.engine.runner import execute_run
+
+        spec = sharded_spec(
+            n=4,
+            txn_clients=2,
+            txn_rate=20.0,
+            crash_at=((5, 0.2),),
+            recover_after=0.15,
+        )
+        document = execute_run(spec).to_json().encode("utf-8")
+        assert hashlib.sha256(document).hexdigest() == (
+            "9b435044bc023096b1f548cab964ac92b635fd673296162ed084679a7c510565"
+        )
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_observed_crash_traces_the_suspicion(self, parallel):
+        # The crashed replica's group oracle records the suspicion, whichever
+        # kernel the group ran on.
+        from repro.engine import RunContext
+        from repro.obs import ObsRuntime
+
+        extra = {"parallel": True, "workers": 1} if parallel else {}
+        spec = sharded_spec(
+            n=4, seed=1, rate=100.0, crash_at=((1, 0.2),), obs=True, **extra
+        )
+        ctx = RunContext(obs=ObsRuntime.from_spec(spec))
+        run_rsm(spec, ctx=ctx)
+        oracle_records = [
+            (r.time, r.pid, r.kind) for r in ctx.tracer.records if r.pid == -1
+        ]
+        assert oracle_records == [(0.2, -1, "suspect")]
 
 
 class TestShardSweep:
