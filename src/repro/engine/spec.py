@@ -370,6 +370,12 @@ class RsmRunSpec(_RunSpec):
             )
         if self.txn_keys < 1:
             raise ConfigurationError("transactions need at least one key")
+        if not self.is_sharded and self.topology.group_size not in (None, self.n):
+            raise ConfigurationError(
+                f"an unsharded run has n={self.n} replicas; "
+                f"topology.group_size={self.topology.group_size} would be ignored "
+                "(set it only with groups > 1 or txn_clients > 0)"
+            )
         if self.topology.groups > self.keys:
             raise ConfigurationError(
                 f"{self.topology.groups} shards cannot partition {self.keys} keys"

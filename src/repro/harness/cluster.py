@@ -146,7 +146,8 @@ class ClusterRun:
         if self.oracle is not None:
             self.oracle.watch(nodes)
         if self.ctx.obs is not None:
-            self.ctx.obs.install(sim, network=network, oracle=self.oracle)
+            oracles = () if self.oracle is None else (self.oracle,)
+            self.ctx.obs.install(sim, network=network, oracles=oracles)
         for pid in self.initially_crashed:
             nodes[pid].crash()
         for pid, node in nodes.items():

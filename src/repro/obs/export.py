@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
 from repro.obs.causal import _ingest, critical_paths
-from repro.sim.trace import TraceRecord, describe_value, row_data
+from repro.sim.trace import KINDS, TraceRecord, describe_value, row_data
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -42,7 +43,7 @@ TRACE_SCHEMA = "repro.trace.v1"
 
 _MICROS = 1e6  # trace-event timestamps are microseconds
 
-#: Events per C-encoder call in :func:`export_chrome` (~0.5 MB of output).
+#: Events per write in :func:`export_chrome` (~0.5 MB of output).
 _CHUNK = 4096
 
 
@@ -102,89 +103,155 @@ def export_chrome(
 
     The bytes are those of ``json.dumps(document, sort_keys=True,
     separators=(",", ":"))`` plus a newline.  The document frame is written
-    by hand and the events are encoded :data:`_CHUNK` at a time, so every
-    event goes through the C encoder while neither the full event list nor
-    the full output string is ever held in memory.  Spans and the causal
-    graph are built by one shared pass over the records.  An event is built
-    here around row-form data, which holds no cycle, so the encoder skips
-    its cycle check.
+    by hand, and each event becomes its final JSON text as it is generated;
+    the texts are written comma-joined, :data:`_CHUNK` at a time, so neither
+    the event list nor the output string is ever held whole.  The bulk of an
+    observed trace — msg-send and msg-deliver instants and the flow arrow
+    pair of each delivered message — is written from fixed templates whose
+    keys are already in sorted order, whenever its values have exactly the
+    types the template writes as ``json`` would (strings, plain ints, finite
+    floats); every other event goes through the C encoder one at a time.
+    Spans and the causal graph are built by one shared pass over the
+    records.
     """
     records = list(records)
-    encode = json.JSONEncoder(
-        sort_keys=True, separators=(",", ":"), check_circular=False
-    ).encode
-    events = _chrome_events(records)
+    texts = _chrome_texts(records)
     out.write('{"displayTimeUnit":"ms","traceEvents":[')
     separator = ""
-    while chunk := list(islice(events, _CHUNK)):
+    # An event's text is never empty, so an empty join means no events left.
+    while chunk := ",".join(islice(texts, _CHUNK)):
         out.write(separator)
-        out.write(encode(chunk)[1:-1])  # strip the chunk's own brackets
+        out.write(chunk)
         separator = ","
     out.write("]}\n")
     return len(records)
 
 
-def _chrome_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
-    """The trace events of :func:`export_chrome`, in output order."""
+_quote = encode_basestring_ascii
+_float = float.__repr__  # what ``json`` writes for a finite float
+_INF = float("inf")
+
+#: Instant templates of the network's msg-send / msg-deliver records, keyed
+#: by kind: the data key naming the peer, and the event with its keys (and
+#: the data's) in sorted order, filled in that order.
+_MSG_INSTANTS = {
+    KINDS.MSG_SEND: (
+        "dst",
+        '{"args":{"data":{"channel":%s,"dst":%d,"id":%d,"kind":%s}},'
+        '"name":"msg-send","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}',
+    ),
+    KINDS.MSG_DELIVER: (
+        "src",
+        '{"args":{"data":{"channel":%s,"id":%d,"kind":%s,"src":%d}},'
+        '"name":"msg-deliver","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}',
+    ),
+}
+#: Flow arrow templates, filled with the message id, the quoted message
+#: kind, the track and the timestamp.
+_FLOW_START = '{"cat":"msg","id":%d,"name":%s,"ph":"s","pid":0,"tid":%d,"ts":%s}'
+_FLOW_END = '{"bp":"e","cat":"msg","id":%d,"name":%s,"ph":"f","pid":0,"tid":%d,"ts":%s}'
+
+
+def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
+    """The JSON text of each trace event of :func:`export_chrome`, in output
+    order."""
+    # An event is built here around row-form data, which holds no cycle, so
+    # the encoder skips its cycle check.
+    encode = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), check_circular=False
+    ).encode
     for pid in sorted({r.pid for r in records}):
-        yield {
-            "args": {"name": f"p{pid}" if pid >= 0 else "system"},
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": pid,
-        }
+        yield encode(
+            {
+                "args": {"name": f"p{pid}" if pid >= 0 else "system"},
+                "name": "thread_name",
+                "ph": "M",
+                "pid": 0,
+                "tid": pid,
+            }
+        )
     for time, pid, kind, data in records:
-        yield {
-            "args": {"data": row_data(kind, data)},
-            "name": kind,
-            "ph": "i",
-            "pid": 0,
-            "s": "t",
-            "tid": pid,
-            "ts": time * _MICROS,
-        }
+        ts = time * _MICROS
+        template = _MSG_INSTANTS.get(kind)
+        if (
+            template is not None
+            and type(data) is dict
+            and len(data) == 4
+            and type(pid) is int
+            and type(ts) is float
+            and -_INF < ts < _INF
+        ):
+            peer_key, text = template
+            channel = data.get("channel")
+            peer = data.get(peer_key)
+            msg_id = data.get("id")
+            name = data.get("kind")
+            if (
+                type(channel) is str
+                and type(peer) is int
+                and type(msg_id) is int
+                and type(name) is str
+            ):
+                channel, name = _quote(channel), _quote(name)
+                if peer_key == "dst":
+                    yield text % (channel, peer, msg_id, name, pid, _float(ts))
+                else:
+                    yield text % (channel, msg_id, name, peer, pid, _float(ts))
+                continue
+        yield encode(
+            {
+                "args": {"data": row_data(kind, data)},
+                "name": kind,
+                "ph": "i",
+                "pid": 0,
+                "s": "t",
+                "tid": pid,
+                "ts": ts,
+            }
+        )
     builder, graph = _ingest(records)
     for span in builder.consensus_spans():
         if span.propose_at is None or span.decided_at is None:
             continue
         label = "consensus" if span.instance is None else f"consensus[{span.instance}]"
-        yield {
-            "args": {
-                "steps": span.steps,
-                "via": span.via,
-                "value": describe_value(span.decided_value),
-            },
-            "dur": (span.decided_at - span.propose_at) * _MICROS,
-            "name": label,
-            "ph": "X",
-            "pid": 0,
-            "tid": span.pid,
-            "ts": span.propose_at * _MICROS,
-        }
+        yield encode(
+            {
+                "args": {
+                    "steps": span.steps,
+                    "via": span.via,
+                    "value": describe_value(span.decided_value),
+                },
+                "dur": (span.decided_at - span.propose_at) * _MICROS,
+                "name": label,
+                "ph": "X",
+                "pid": 0,
+                "tid": span.pid,
+                "ts": span.propose_at * _MICROS,
+            }
+        )
     # Causal layer: send → deliver flow arrows plus per-decision critical
     # paths.  Traces without message ids (obs off, pre-causal exports) have
     # no matched pairs and no hops, so they emit nothing extra here.
     for send, deliver in graph.flows():
-        yield {
-            "cat": "msg",
-            "id": send.id,
-            "name": send.kind,
-            "ph": "s",
-            "pid": 0,
-            "tid": send.src,
-            "ts": send.time * _MICROS,
-        }
-        yield {
-            "bp": "e",
-            "cat": "msg",
-            "id": send.id,
-            "name": send.kind,
-            "ph": "f",
-            "pid": 0,
-            "tid": deliver.dst,
-            "ts": deliver.time * _MICROS,
-        }
+        msg_id, name, src, dst = send.id, send.kind, send.src, deliver.dst
+        start, end = send.time * _MICROS, deliver.time * _MICROS
+        if (
+            type(msg_id) is int
+            and type(name) is str
+            and type(src) is int
+            and type(dst) is int
+            and type(start) is float
+            and type(end) is float
+            and -_INF < start < _INF
+            and -_INF < end < _INF
+        ):
+            name = _quote(name)
+            yield _FLOW_START % (msg_id, name, src, _float(start))
+            yield _FLOW_END % (msg_id, name, dst, _float(end))
+            continue
+        flow = {"cat": "msg", "id": msg_id, "name": name, "pid": 0}
+        yield encode({**flow, "ph": "s", "tid": src, "ts": start})
+        yield encode({**flow, "bp": "e", "ph": "f", "tid": dst, "ts": end})
     for path in critical_paths(builder, graph):
         if path.propose_at is None or not path.hops:
             continue
@@ -201,27 +268,31 @@ def _chrome_events(records: list[TraceRecord]) -> Iterator[dict[str, Any]]:
         }
         if path.cause is not None:
             args["cause"] = path.cause
-        yield {
-            "args": args,
-            "cname": "terrible" if path.cause is not None else "good",
-            "dur": (path.decided_at - path.propose_at) * _MICROS,
-            "name": label,
-            "ph": "X",
-            "pid": 0,
-            "tid": path.pid,
-            "ts": path.propose_at * _MICROS,
-        }
-        for hop in path.hops:
-            yield {
-                "args": {"msg_id": hop.msg_id, "src": hop.src},
-                "cat": "critical-path",
-                "dur": hop.flight_time * _MICROS,
-                "name": f"cp:{hop.kind}",
+        yield encode(
+            {
+                "args": args,
+                "cname": "terrible" if path.cause is not None else "good",
+                "dur": (path.decided_at - path.propose_at) * _MICROS,
+                "name": label,
                 "ph": "X",
                 "pid": 0,
-                "tid": hop.dst,
-                "ts": hop.sent_at * _MICROS,
+                "tid": path.pid,
+                "ts": path.propose_at * _MICROS,
             }
+        )
+        for hop in path.hops:
+            yield encode(
+                {
+                    "args": {"msg_id": hop.msg_id, "src": hop.src},
+                    "cat": "critical-path",
+                    "dur": hop.flight_time * _MICROS,
+                    "name": f"cp:{hop.kind}",
+                    "ph": "X",
+                    "pid": 0,
+                    "tid": hop.dst,
+                    "ts": hop.sent_at * _MICROS,
+                }
+            )
 
 
 def diff_traces(

@@ -16,7 +16,7 @@ existing runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.metrics import OBS_SCHEMA, MetricsRegistry, MetricsSampler
 from repro.obs.recorder import FlightRecorder
@@ -77,11 +77,13 @@ class ObsRuntime:
         self,
         sim: Any,
         network: Any = None,
-        oracle: Any = None,
+        oracles: Sequence[Any] = (),
         gauges: Mapping[str, Callable[[], float]] | None = None,
     ) -> None:
         """Wire detailed tracing and start the metrics sampler.
 
+        ``oracles`` are the run's failure detectors, one per replica group;
+        ``fd.suspected`` counts the crashed pids over all of them.
         ``gauges`` lets a runner add run-shape-specific readings (per-pid
         round numbers, rsm applied indexes) on top of the standard kernel,
         network and failure-detector gauges.
@@ -89,7 +91,7 @@ class ObsRuntime:
         if self.detail:
             if network is not None:
                 network.obs_tracer = self.tracer
-            if oracle is not None:
+            for oracle in oracles:
                 oracle.tracer = self.tracer
         if self.registry is not None and self.sampler is not None:
             self.registry.gauge("kernel.pending", lambda: float(sim.pending()))
@@ -100,8 +102,11 @@ class ObsRuntime:
                     lambda: float(stats.sent - stats.delivered - stats.dropped),
                 )
                 self.registry.gauge("net.bytes_sent", lambda: float(stats.bytes_sent))
-            if oracle is not None and hasattr(oracle, "crashed"):
-                self.registry.gauge("fd.suspected", lambda: float(len(oracle.crashed)))
+            if oracles:
+                self.registry.gauge(
+                    "fd.suspected",
+                    lambda: float(sum(len(oracle.crashed) for oracle in oracles)),
+                )
             if gauges:
                 for name, read in gauges.items():
                     self.registry.gauge(name, read)

@@ -172,9 +172,11 @@ def run_rsm(
     else:
         groups = [ReplicaGroup(spec, fabric)]
     if ctx.obs is not None:
-        # The failure-detector gauge reads one oracle: an unsharded run's.
-        oracle = None if sharded else groups[0].oracle
-        ctx.obs.install(fabric.sim, network=fabric.network, oracle=oracle)
+        ctx.obs.install(
+            fabric.sim,
+            network=fabric.network,
+            oracles=[group.oracle for group in groups],
+        )
     drivers = launch(groups, nemesis=spec.nemesis, extra_drivers=txn_drivers)
     fabric.sim.run(until=spec.horizon, max_events=spec.max_events)
 

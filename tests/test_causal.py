@@ -12,6 +12,8 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from repro.core.lconsensus import LConsensus
 from repro.engine import AbcastRunSpec
 from repro.engine.runner import run_abcast_spec
@@ -480,6 +482,87 @@ class TestChromeGoldenBytes:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
             "f9986e72103ce7f7c194ef493b599902a17edfc29321f57e8221a8229aca5fa6"
         )
+
+
+class Micros(int):
+    """A trace time whose microsecond value is an int, not a float."""
+
+    def __mul__(self, other):
+        return int(self) * 1_000_000
+
+
+def msg_pair(
+    send_time=0.001, send_pid=0, deliver_time=0.002, deliver_pid=1,
+    send=(), deliver=(), drop=None, **both,
+):
+    """One msg-send and its msg-deliver as hand-built records: ``both``
+    replaces fields of both records' data, ``send`` / ``deliver`` one
+    side's, and ``drop`` removes a field from the send's data."""
+    from repro.sim.trace import TraceRecord
+
+    common = {"kind": "Vote", "channel": "cons", "id": 7, **both}
+    send_data = {"dst": deliver_pid, **common, **dict(send)}
+    deliver_data = {"src": send_pid, **common, **dict(deliver)}
+    if drop is not None:
+        del send_data[drop]
+    return [
+        TraceRecord(send_time, send_pid, "msg-send", send_data),
+        TraceRecord(deliver_time, deliver_pid, "msg-deliver", deliver_data),
+    ]
+
+
+#: Records the msg-send / msg-deliver / flow templates must not take: each
+#: has to come out exactly as the C encoder writes it.
+TEMPLATE_FALLBACKS = {
+    "bool-id": msg_pair(id=True),
+    "float-id": msg_pair(id=7.0),
+    "none-id": msg_pair(id=None),
+    "bool-dst": msg_pair(send={"dst": True}),
+    "float-dst": msg_pair(send={"dst": 1.0}),
+    "none-dst": msg_pair(send={"dst": None}),
+    "bool-src": msg_pair(deliver={"src": False}),
+    "float-src": msg_pair(deliver={"src": 0.0}),
+    "none-src": msg_pair(deliver={"src": None}),
+    "extra-key": msg_pair(send={"extra": 1}),
+    "missing-key": msg_pair(drop="channel"),
+    "data-not-a-dict": [
+        msg_pair()[0]._replace(data=None),
+        msg_pair()[1]._replace(data=[0, "Vote", "cons", 7]),
+    ],
+    "channel-not-a-string": msg_pair(channel=3),
+    "kind-not-a-string": msg_pair(kind=None),
+    "escaped-strings": msg_pair(kind='Vo"te\\ \u00e9\u2713', channel='c"h\\\u00f1\n'),
+    "negative-id": msg_pair(id=-3),
+    "int-time": msg_pair(send_time=1, deliver_time=2),
+    "inf-send-time": msg_pair(send_time=float("inf"), deliver_time=float("inf")),
+    "inf-deliver-time": msg_pair(deliver_time=float("inf")),
+    "nan-time": msg_pair(send_time=float("nan")),
+    "int-micros-send": msg_pair(send_time=Micros(1)),
+    "int-micros-deliver": msg_pair(deliver_time=Micros(2)),
+    "float-send-pid": msg_pair(send_pid=2.0),
+    "float-deliver-pid": msg_pair(deliver_pid=1.0),
+    "bool-pid": msg_pair(
+        send_pid=False, deliver_pid=True, send={"dst": 1}, deliver={"src": 0}
+    ),
+}
+
+
+class TestChromeTemplateFallbacks:
+    """Message rows and flow arrows come from fixed templates only when the
+    template writes what ``json.dumps`` would; every other shape falls back
+    to the encoder, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "records", TEMPLATE_FALLBACKS.values(), ids=TEMPLATE_FALLBACKS.keys()
+    )
+    def test_streamed_bytes_match_the_reference_encoder(self, records):
+        assert streamed_chrome(records) == reference_chrome(records)
+
+    def test_templated_rows_match_the_reference_encoder(self):
+        records = msg_pair()
+        text = streamed_chrome(records)
+        assert text == reference_chrome(records)
+        assert '"ph":"s"' in text and '"ph":"f"' in text
 
 
 class TestFlightRecorderOnReplay:

@@ -208,6 +208,17 @@ class TestTopologyCompat:
                 txn_clients=2,  # txn_rate missing
             )
 
+    def test_unsharded_spec_rejects_a_group_size_other_than_n(self):
+        # One group has n members; a different topology.group_size would
+        # be reported (and bound crash_at) but never built.
+        plain = dict(protocol="cabcast-l", rate=100.0, duration=0.3, n=3)
+        with pytest.raises(ConfigurationError, match="n=3.*group_size=5"):
+            RsmRunSpec(**plain, topology=TopologySpec(group_size=5))
+        spec = RsmRunSpec(**plain, topology=TopologySpec(group_size=3))
+        assert spec.group_size == spec.total_replicas == 3
+        sharded = RsmRunSpec(**plain, topology=TopologySpec(groups=2, group_size=5))
+        assert sharded.total_replicas == 10
+
 
 class TestShardedRuns:
     def test_basic_two_shard_run(self):
@@ -336,6 +347,32 @@ class TestShardedRuns:
             (r.time, r.pid, r.kind) for r in ctx.tracer.records if r.pid == -1
         ]
         assert oracle_records == [(0.2, -1, "suspect")]
+
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_metrics_sample_the_suspicions_of_every_group(self, groups):
+        spec = RsmRunSpec(
+            protocol="cabcast-l",
+            rate=100.0,
+            duration=0.4,
+            n=4,
+            clients=4,
+            seed=7,
+            cluster=PAPER_LAN,
+            topology=TopologySpec(groups=groups),
+            crash_at=((1, 0.1),),
+            obs_metrics_interval=0.05,
+        )
+        from repro.engine.runner import execute_run
+
+        section = execute_run(spec).obs
+        assert section["gauges"] == [
+            "fd.suspected",
+            "kernel.pending",
+            "net.bytes_sent",
+            "net.in_flight",
+        ]
+        assert section["samples"][-1][1] == 1.0
 
 
 class TestShardSweep:
