@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple
 
 from repro.obs.spans import ConsensusSpan, SpanBuilder
-from repro.sim.trace import KINDS, TraceRecord, describe_value
+from repro.sim.trace import KINDS, TraceLog, TraceRecord, describe_value
 
 __all__ = [
     "CausalGraph",
@@ -56,6 +56,10 @@ TRIGGER_KINDS = frozenset(
 #: Walk guard: no sane trace chains more hops than this between one propose
 #: and one decide (rounds are O(1) messages deep per process).
 MAX_HOPS = 128
+
+#: Builds a named tuple from a tuple of its fields without the generated
+#: ``__new__`` frame.
+_new = tuple.__new__
 
 
 class _Send(NamedTuple):
@@ -192,18 +196,18 @@ class CausalGraph:
         if kind == KINDS.MSG_SEND:
             msg_id = data.get("id") if isinstance(data, dict) else None
             if isinstance(msg_id, int) and msg_id >= 0:
-                self.sends[msg_id] = _Send(
+                self.sends[msg_id] = _new(_Send, (
                     msg_id, time, pid, data.get("dst", -1),
                     data.get("kind", "?"), data.get("channel", "?"),
-                )
+                ))
         elif kind == KINDS.MSG_DELIVER:
             if isinstance(data, dict):
                 msg_id = data.get("id")
-                deliver = _Deliver(
+                deliver = _new(_Deliver, (
                     msg_id if isinstance(msg_id, int) else -1,
                     time, pid, data.get("src", -1),
                     data.get("kind", "?"), data.get("channel", "?"),
-                )
+                ))
             else:
                 deliver = _Deliver(-1, time, pid, -1, "?", "?")
             if deliver.id >= 0 and deliver.id in self.sends:
@@ -393,6 +397,52 @@ def _ingest(
     return builder, graph
 
 
+class _Fold(NamedTuple):
+    """What the warehouse entry and the Chrome export read of one trace."""
+
+    #: Length of the :class:`TraceLog` folded (-1 for other iterables): a
+    #: kept fold is stale once the log is longer.
+    length: int
+    builder: SpanBuilder
+    #: :func:`critical_paths`, in span order.
+    paths: list[CriticalPath]
+    #: Matched messages as ``(id, kind, src, dst, sent_at, delivered_at)``,
+    #: in id order.
+    flows: list[tuple[int, str, int, int, float, float]]
+    unmatched_sends: int
+    orphan_delivers: int
+
+
+def _fold(events: Iterable[tuple[float, int, str, Any]]) -> _Fold:
+    """Spans, critical paths and message flows of one trace.
+
+    The fold of a :class:`TraceLog` is kept on it and reused while the log
+    has the length it was folded at; any other iterable is folded each
+    time.  The causal graph itself is not kept: the flows and two counts
+    are all its readers take from it.
+    """
+    log = events if isinstance(events, TraceLog) else None
+    if log is not None:
+        kept = log.fold
+        if kept is not None and kept.length == len(log):
+            return kept
+    builder, graph = _ingest(events)
+    fold = _Fold(
+        len(log) if log is not None else -1,
+        builder,
+        critical_paths(builder, graph),
+        [
+            (send.id, send.kind, send.src, deliver.dst, send.time, deliver.time)
+            for send, deliver in graph.flows()
+        ],
+        graph.unmatched_sends,
+        len(graph.orphan_delivers),
+    )
+    if log is not None:
+        log.fold = fold
+    return fold
+
+
 def causal_summary(rows: Iterable[list[Any]]) -> dict[str, Any]:
     """Aggregate critical-path statistics of one exported trace.
 
@@ -400,12 +450,12 @@ def causal_summary(rows: Iterable[list[Any]]) -> dict[str, Any]:
     the decision latency was wire time, and a histogram of fallback-cause
     kinds (``op:<kind>`` when a nemesis op was attributed).
     """
-    return _path_summary(*_ingest(rows))
+    return _path_summary(_fold(rows))
 
 
-def _path_summary(builder: SpanBuilder, graph: CausalGraph) -> dict[str, Any]:
-    """:func:`causal_summary` over an already-ingested trace."""
-    paths = critical_paths(builder, graph)
+def _path_summary(fold: _Fold) -> dict[str, Any]:
+    """:func:`causal_summary` of an already-folded trace."""
+    paths = fold.paths
     latencies = [p.latency for p in paths if p.latency is not None]
     causes: dict[str, int] = {}
     for path in paths:
@@ -422,8 +472,8 @@ def _path_summary(builder: SpanBuilder, graph: CausalGraph) -> dict[str, Any]:
             sum(len(p.hops) for p in paths) / len(paths) if paths else 0.0
         ),
         "causes": dict(sorted(causes.items())),
-        "unmatched_sends": graph.unmatched_sends,
-        "orphan_delivers": len(graph.orphan_delivers),
+        "unmatched_sends": fold.unmatched_sends,
+        "orphan_delivers": fold.orphan_delivers,
     }
     if latencies:
         summary["mean_latency"] = sum(latencies) / len(latencies)

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs.causal import _ingest, critical_paths
+from repro.obs.causal import _fold
 from repro.sim.trace import KINDS, TraceRecord, describe_value, row_data
 
 __all__ = [
@@ -111,10 +111,12 @@ def export_chrome(
     keys are already in sorted order, whenever its values have exactly the
     types the template writes as ``json`` would (strings, plain ints, finite
     floats); every other event goes through the C encoder one at a time.
-    Spans and the causal graph are built by one shared pass over the
-    records.
+    Spans, critical paths and flows come from one shared fold of the
+    records, which :func:`~repro.obs.warehouse.build_entry` may already have
+    kept on the tracer's :class:`~repro.sim.trace.TraceLog`.
     """
-    records = list(records)
+    if not isinstance(records, list):
+        records = list(records)
     texts = _chrome_texts(records)
     out.write('{"displayTimeUnit":"ms","traceEvents":[')
     separator = ""
@@ -209,8 +211,8 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
                 "ts": ts,
             }
         )
-    builder, graph = _ingest(records)
-    for span in builder.consensus_spans():
+    fold = _fold(records)
+    for span in fold.builder.consensus_spans():
         if span.propose_at is None or span.decided_at is None:
             continue
         label = "consensus" if span.instance is None else f"consensus[{span.instance}]"
@@ -232,9 +234,8 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
     # Causal layer: send → deliver flow arrows plus per-decision critical
     # paths.  Traces without message ids (obs off, pre-causal exports) have
     # no matched pairs and no hops, so they emit nothing extra here.
-    for send, deliver in graph.flows():
-        msg_id, name, src, dst = send.id, send.kind, send.src, deliver.dst
-        start, end = send.time * _MICROS, deliver.time * _MICROS
+    for msg_id, name, src, dst, sent_at, delivered_at in fold.flows:
+        start, end = sent_at * _MICROS, delivered_at * _MICROS
         if (
             type(msg_id) is int
             and type(name) is str
@@ -252,7 +253,7 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
         flow = {"cat": "msg", "id": msg_id, "name": name, "pid": 0}
         yield encode({**flow, "ph": "s", "tid": src, "ts": start})
         yield encode({**flow, "bp": "e", "ph": "f", "tid": dst, "ts": end})
-    for path in critical_paths(builder, graph):
+    for path in fold.paths:
         if path.propose_at is None or not path.hops:
             continue
         label = (

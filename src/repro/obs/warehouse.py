@@ -46,16 +46,14 @@ def build_entry(
     ``report`` is the run's :class:`~repro.engine.report.RunReport`;
     ``records`` the trace records of the tracer the run was executed with
     (obs detail must have been on, or the span/causal sections will be
-    empty).  The trace is folded through its exported-row form so entries
-    match what offline analysis of the JSONL export would compute.
+    empty).  The records are folded as they are, which gives what offline
+    analysis of their JSONL export computes; the fold of a tracer's
+    :class:`~repro.sim.trace.TraceLog` is kept on it for
+    :func:`~repro.obs.export.export_chrome` to reuse.
     """
-    from repro.obs.causal import _ingest, _path_summary
-    from repro.sim.trace import row_data
+    from repro.obs.causal import _fold, _path_summary
 
-    # One pass: each record's row form feeds the span and causal sections.
-    builder, graph = _ingest(
-        (time, pid, kind, row_data(kind, data)) for time, pid, kind, data in records
-    )
+    fold = _fold(records)
     entry: dict[str, Any] = {
         "schema": WAREHOUSE_SCHEMA,
         "key": report.key,
@@ -65,8 +63,8 @@ def build_entry(
         "offered": report.offered,
         "delivered": report.delivered,
         "latency": report.latency_summary_dict(),
-        "spans": builder.summary(),
-        "critical_path": _path_summary(builder, graph),
+        "spans": fold.builder.summary(),
+        "critical_path": _path_summary(fold),
         "network": {
             name: report.network[name]
             for name in ("sent", "delivered", "dropped", "bytes_sent")

@@ -3,10 +3,10 @@
 Protocols and checkers publish trace records (decisions, deliveries, round
 transitions) to a :class:`Tracer`.  Tests assert on traces; the experiment
 harness derives latency and step-count metrics from them.  Tracing is
-pull-free and allocation-light: a record is a named tuple appended to a list,
-the per-kind index is built when first queried, and subscribers get
-synchronous callbacks.  A run whose records nobody can read back gets a
-:class:`CountingTracer`, which keeps only per-kind counts.
+pull-free and allocation-light: a record is a named tuple appended to a
+:class:`TraceLog`, the per-kind index is built when first queried, and
+subscribers get synchronous callbacks.  A run whose records nobody can read
+back gets a :class:`CountingTracer`, which keeps only per-kind counts.
 
 The :class:`KINDS` vocabulary covers the full causal story of a run: the
 always-on application events (``a-broadcast``, ``a-deliver``, ``decide``)
@@ -26,6 +26,7 @@ __all__ = [
     "KINDS",
     "ROW_KINDS",
     "CountingTracer",
+    "TraceLog",
     "TraceRecord",
     "Tracer",
     "describe_value",
@@ -174,6 +175,37 @@ class TraceRecord(NamedTuple):
     data: Any = None
 
 
+#: Builds a named tuple from a tuple of its fields without the generated
+#: ``__new__`` frame: ``_new(TraceRecord, (time, pid, kind, data))``.
+_new = tuple.__new__
+
+
+class TraceLog(list):
+    """A tracer's records, in emission order: a list with one slot.
+
+    ``fold`` holds what a reader derived from the whole log, for the next
+    reader to take instead of folding it again (:mod:`repro.obs.causal`
+    keeps its span and critical-path fold there).  The reader records the
+    length it folded at and trusts the fold only while the log still has
+    that length, which holds because records are only ever appended.
+    :meth:`clear` drops the fold; a pickled or copied log carries its
+    records only.
+    """
+
+    __slots__ = ("fold",)
+
+    def __init__(self, records: Iterable[TraceRecord] = ()) -> None:
+        super().__init__(records)
+        self.fold: Any = None
+
+    def clear(self) -> None:
+        super().clear()
+        self.fold = None
+
+    def __reduce__(self) -> tuple:
+        return (TraceLog, (list(self),))
+
+
 class Tracer:
     """Collects :class:`TraceRecord` instances and notifies subscribers.
 
@@ -185,14 +217,14 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
+        self.records = TraceLog()
         self._subscribers: list[Callable[[TraceRecord], None]] = []
         self._by_kind: dict[str, list[TraceRecord]] = {}
         #: How many leading records ``_by_kind`` holds.
         self._indexed = 0
 
     def emit(self, time: float, pid: int, kind: str, data: Any = None) -> None:
-        record = TraceRecord(time, pid, kind, data)
+        record = _new(TraceRecord, (time, pid, kind, data))
         self.records.append(record)
         if self._subscribers:
             for fn in self._subscribers:
@@ -343,7 +375,7 @@ class CountingTracer(Tracer):
     def emit(self, time: float, pid: int, kind: str, data: Any = None) -> None:
         self.absorb(kind, time, 1)
         if self._subscribers:
-            record = TraceRecord(time, pid, kind, data)
+            record = _new(TraceRecord, (time, pid, kind, data))
             for fn in self._subscribers:
                 fn(record)
 
@@ -355,6 +387,10 @@ class CountingTracer(Tracer):
             self._tally[kind] = [first, count]
         else:
             entry[1] += count
+
+    def clear(self) -> None:
+        super().clear()
+        self._tally.clear()
 
     def tally(self) -> dict[str, tuple[float, int]]:
         """``{kind: (time of the first record, count)}``, first-seen order."""

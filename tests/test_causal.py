@@ -565,6 +565,66 @@ class TestChromeTemplateFallbacks:
         assert '"ph":"s"' in text and '"ph":"f"' in text
 
 
+class TestKeptFold:
+    """The warehouse entry and the Chrome export share one fold of a
+    tracer's record log, kept on the log while no record is added."""
+
+    @pytest.fixture
+    def ingests(self, monkeypatch):
+        """The number of :func:`_ingest` passes made so far."""
+        from repro.obs import causal
+
+        calls = []
+        ingest = causal._ingest
+
+        def counted(events):
+            calls.append(None)
+            return ingest(events)
+
+        monkeypatch.setattr(causal, "_ingest", counted)
+        return calls
+
+    def test_entry_then_export_of_one_log_folds_it_once(self, ingests):
+        from repro.obs import build_entry
+
+        from tests.test_warehouse import observed_run
+
+        report, records = observed_run(seed=2, nemesis=PARTITION)
+        entry = build_entry(report, records)
+        text = streamed_chrome(records)
+        assert len(ingests) == 1
+        assert entry["critical_path"]["paths"] > 0 and '"ph":"s"' in text
+        # A plain list keeps no fold: the export folds it afresh, to the
+        # same bytes, and the log's fold is untouched.
+        assert streamed_chrome(list(records)) == text
+        assert len(ingests) == 2
+        streamed_chrome(records)
+        assert len(ingests) == 2
+
+    def test_a_record_emitted_after_the_fold_folds_the_log_again(self, ingests):
+        tracer = Tracer()
+        first, second = msg_pair(), msg_pair(send_time=0.003, deliver_time=0.004, id=8)
+        for record in first:
+            tracer.emit(*record)
+        assert streamed_chrome(tracer.records) == reference_chrome(first)
+        for record in second:
+            tracer.emit(*record)
+        assert streamed_chrome(tracer.records) == reference_chrome(first + second)
+        assert len(ingests) == 2
+
+    def test_clear_then_as_many_records_does_not_reuse_the_fold(self, ingests):
+        tracer = Tracer()
+        for record in msg_pair():
+            tracer.emit(*record)
+        streamed_chrome(tracer.records)
+        tracer.clear()
+        replacement = msg_pair(send_pid=2, deliver_pid=3, kind="Ack", id=11)
+        for record in replacement:
+            tracer.emit(*record)
+        assert streamed_chrome(tracer.records) == reference_chrome(replacement)
+        assert len(ingests) == 2
+
+
 class TestFlightRecorderOnReplay:
     def test_trial_failures_carry_flight_record(self, monkeypatch):
         # The fuzzer forces the flight recorder on for every trial, so a

@@ -1,6 +1,9 @@
 """Unit tests for the structured tracer."""
 
-from repro.sim.trace import KINDS, CountingTracer, TraceRecord, Tracer
+import copy
+import pickle
+
+from repro.sim.trace import KINDS, CountingTracer, TraceLog, TraceRecord, Tracer
 
 
 class TestTracer:
@@ -85,6 +88,42 @@ class TestTracer:
         assert tracer.kinds() == {"c"}
 
 
+class TestTraceLog:
+    def _log(self):
+        tracer = Tracer()
+        tracer.emit(1.0, 0, "a", {"x": 1})
+        tracer.emit(2.0, 1, "b")
+        tracer.records.fold = "kept"
+        return tracer.records
+
+    def test_a_tracer_records_into_a_trace_log(self):
+        tracer = Tracer()
+        tracer.emit(1.0, 0, "a")
+        assert type(tracer.records) is TraceLog and tracer.records.fold is None
+        assert tracer.records == [TraceRecord(1.0, 0, "a", None)]
+
+    def test_clear_drops_the_fold(self):
+        tracer = Tracer()
+        tracer.emit(1.0, 0, "a")
+        tracer.records.fold = "kept"
+        tracer.clear()
+        assert tracer.records == [] and tracer.records.fold is None
+
+    def test_pickle_and_copies_carry_the_records_only(self):
+        log = self._log()
+        for twin in (
+            pickle.loads(pickle.dumps(log)),
+            copy.copy(log),
+            copy.deepcopy(log),
+        ):
+            assert type(twin) is TraceLog and twin is not log
+            assert twin == log and twin.fold is None
+        assert log.fold == "kept"
+
+    def test_slices_are_plain_lists(self):
+        assert type(self._log()[:1]) is list
+
+
 class TestCountingTracer:
     def _emit_all(self, tracer):
         tracer.emit(1.0, 0, "b")
@@ -111,6 +150,16 @@ class TestCountingTracer:
         tracer.emit(1.0, 2, "evt", "d")
         assert seen == [TraceRecord(1.0, 2, "evt", "d")]
         assert tracer.counts() == {"evt": 1}
+
+    def test_clear_forgets_the_counts_like_a_recording_tracer(self):
+        recording, counting = Tracer(), CountingTracer()
+        for tracer in (recording, counting):
+            tracer.emit(0.0, 1, "decide")
+            tracer.clear()
+        assert counting.counts() == recording.counts() == {}
+        assert counting.tally() == {}
+        counting.emit(2.0, 0, "decide")
+        assert counting.tally() == {"decide": (2.0, 1)}
 
     def test_absorb_adds_counts_and_keeps_the_first_seen_kind(self):
         tracer = CountingTracer()
