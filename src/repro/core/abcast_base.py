@@ -88,7 +88,6 @@ class AbcastModule(abc.ABC):
         self._next_seq = 0
         self.delivered: list[AppMessage] = []
         self._delivered_ids: set[tuple[int, int]] = set()
-        self.broadcast_log: list[AppMessage] = []
 
     # ------------------------------------------------------------- public API
 
@@ -99,7 +98,6 @@ class AbcastModule(abc.ABC):
         """Atomically broadcast ``payload``; returns the wrapped message."""
         self._next_seq += 1
         message = AppMessage(self.env.pid, self._next_seq, payload, self.env.now())
-        self.broadcast_log.append(message)
         self._submit(message)
         return message
 

@@ -48,6 +48,9 @@ class AbcastHost(HostProcess):
         self._next_send = 0
         self.tracer = tracer
         self.abcast: AbcastModule | None = None
+        #: What this host's ``a_broadcast`` calls returned, in call order
+        #: (the validity check's and the latency metrics' input).
+        self.broadcast_log: list[AppMessage] = []
         self.delivery_times: dict[tuple[int, int], float] = {}
 
     def on_start(self) -> None:
@@ -71,6 +74,7 @@ class AbcastHost(HostProcess):
         _, payload = self._schedule[self._next_send]
         self._next_send += 1
         message = self.abcast.a_broadcast(payload)
+        self.broadcast_log.append(message)
         if self.tracer is not None:
             self.tracer.emit_broadcast(self.env.now(), self.env.pid, message.msg_id)
         self._arm_next_send()
@@ -198,12 +202,11 @@ def run_abcast(
     deliveries = {
         pid: host.abcast.delivered_ids for pid, host in hosts.items() if host.abcast
     }
-    broadcast: dict[tuple[int, int], AppMessage] = {}
-    for host in hosts.values():
-        if host.abcast is None:
-            continue
-        for message in host.abcast.broadcast_log:
-            broadcast[message.msg_id] = message
+    broadcast = {
+        message.msg_id: message
+        for host in hosts.values()
+        for message in host.broadcast_log
+    }
     crashed = run.crashed
 
     def checks() -> None:

@@ -24,6 +24,7 @@ and 3 without any tuning knob beyond the delay distribution itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -60,6 +61,24 @@ class WabOracle:
         plain-UDP implementation; positive values restore validity under a
         lossy datagram channel (each copy is deduplicated by uniform
         integrity, so upcalls never repeat).
+
+    Uniform integrity is enforced per sender, not per message: an oracle
+    numbers its w-broadcasts 1, 2, 3, ... and every copy of one (``repeats``,
+    a nemesis ``DupOp`` clone) carries the same ``(origin, seq)``.  For each
+    origin the oracle keeps the seqs it has delivered as sorted, disjoint,
+    non-adjacent half-open ranges ``[lo, end)``, stored flat as
+    ``[lo0, end0, lo1, end1, ...]``.  A seq at the end of the last range
+    extends it; a seq inside a range is a duplicate; a seq after a gap
+    (datagram loss, a nemesis drop, a partition) opens a range or merges two.
+    The record is O(senders + gaps) and holds no message, so no estimate
+    outlives its instance here, and a late copy of a closed instance's
+    message is still dropped.
+
+    The filter is exact only while each origin pid has **one** oracle per
+    run: a second oracle at the same pid would restart at seq 1 and its
+    messages would read as duplicates.  Every path builds one: abcast
+    processes are crash-stop, and a rejoining RSM replica is a learner that
+    hosts no abcast module.
     """
 
     def __init__(
@@ -74,12 +93,8 @@ class WabOracle:
         self._deliver = deliver
         self.repeats = repeats
         self._seq = 0
-        # Kept for the whole run, closed instances included: uniform
-        # integrity must hold exactly under ``repeats`` and nemesis
-        # duplicates, whose copies each take their own unbounded delay.
-        # Forgetting a closed instance would deliver a late copy again, and
-        # C-Abcast would fold its payload into the estimate.
-        self._seen: set[WabMessage] = set()
+        #: origin pid -> flat ``[lo, end)`` bounds of the seqs delivered.
+        self._delivered: dict[int, list[int]] = {}
         self._positions: dict[int, int] = {}
         self.broadcasts = 0
         self.deliveries = 0
@@ -99,11 +114,14 @@ class WabOracle:
     def on_message(self, src: int, msg: Any) -> None:
         if not isinstance(msg, WabMessage):
             return
-        # The (frozen, slotted) message is its own dedup key: field equality
-        # and hashing match the (instance, payload, origin, seq) tuple.
-        if msg in self._seen:
+        seq = msg.seq
+        bounds = self._delivered.get(msg.origin)
+        if bounds is None:
+            self._delivered[msg.origin] = [seq, seq + 1]
+        elif bounds[-1] == seq:
+            bounds[-1] = seq + 1  # the next seq in line
+        elif not _admit(bounds, seq):
             return  # uniform integrity: deliver (k, m) at most once
-        self._seen.add(msg)
         position = self._positions.get(msg.instance, 0)
         self._positions[msg.instance] = position + 1
         self.deliveries += 1
@@ -114,3 +132,21 @@ class WabOracle:
     def delivered_in(self, instance: int) -> int:
         """How many distinct messages this process has w-delivered in ``instance``."""
         return self._positions.get(instance, 0)
+
+
+def _admit(bounds: list[int], seq: int) -> bool:
+    """Add ``seq`` to the flat ``[lo, end)`` bounds; False if already there."""
+    i = bisect_right(bounds, seq)
+    if i & 1:
+        return False  # bounds[i - 1] <= seq < bounds[i]
+    joins_left = i > 0 and bounds[i - 1] == seq
+    joins_right = i < len(bounds) and bounds[i] == seq + 1
+    if joins_left and joins_right:
+        del bounds[i - 1 : i + 1]
+    elif joins_left:
+        bounds[i - 1] = seq + 1
+    elif joins_right:
+        bounds[i] = seq
+    else:
+        bounds[i:i] = (seq, seq + 1)
+    return True
