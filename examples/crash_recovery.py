@@ -79,11 +79,11 @@ def main() -> None:
 
     print("=== crash-recovery: replicated counter over Multi-Paxos (n=3) ===\n")
     print(f"replica 2 crashed at {crash_time * 1e3:.0f} ms having applied "
-          f"{len(first_life.abcast.delivered)} commands (counter={first_life.counter})")
+          f"{len(first_life.abcast.delivered_ids)} commands (counter={first_life.counter})")
     print(f"stable store now holds next_deliver={store.get('next_deliver')} "
           f"after {store.writes} writes across both incarnations")
     print(f"recovered at {recover_time * 1e3:.0f} ms; caught up "
-          f"{len(second_life.abcast.delivered)} commands via CatchUpRequest\n")
+          f"{len(second_life.abcast.delivered_ids)} commands via CatchUpRequest\n")
 
     expected = sum(k for _, k in increments)
     print("final counters:")

@@ -86,7 +86,9 @@ class AbcastModule(abc.ABC):
         self.env = env
         self._on_deliver = on_deliver
         self._next_seq = 0
-        self.delivered: list[AppMessage] = []
+        #: Delivery sequence as ids (what the total-order checker consumes).
+        #: The messages themselves are not kept: nothing reads them back.
+        self.delivered_ids: list[tuple[int, int]] = []
         self._delivered_ids: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------- public API
@@ -100,11 +102,6 @@ class AbcastModule(abc.ABC):
         message = AppMessage(self.env.pid, self._next_seq, payload, self.env.now())
         self._submit(message)
         return message
-
-    @property
-    def delivered_ids(self) -> list[tuple[int, int]]:
-        """Delivery sequence as ids (what the total-order checker consumes)."""
-        return [m.msg_id for m in self.delivered]
 
     # ------------------------------------------------------ subclass contract
 
@@ -128,10 +125,11 @@ class AbcastModule(abc.ABC):
         """Deliver every not-yet-delivered message of ``batch`` in order."""
         fresh = []
         for message in deterministic_batch_order(batch):
-            if message.msg_id in self._delivered_ids:
+            msg_id = message.msg_id
+            if msg_id in self._delivered_ids:
                 continue
-            self._delivered_ids.add(message.msg_id)
-            self.delivered.append(message)
+            self._delivered_ids.add(msg_id)
+            self.delivered_ids.append(msg_id)
             fresh.append(message)
             if self._on_deliver is not None:
                 self._on_deliver(message)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.engine.spec import RsmRunSpec
 from repro.errors import (
@@ -51,7 +51,7 @@ from repro.harness.cluster import Fabric
 from repro.harness.registry import ABCAST, get_protocol
 from repro.rsm.client import CommandStream, ServingSet, SessionDriver, ShardKeyStream
 from repro.rsm.machine import KvStore, TxnCommand, TxnKvStore
-from repro.rsm.replica import RsmReplica
+from repro.rsm.replica import ApplyRecord, RsmReplica
 from repro.rsm.session import Request
 from repro.sim.kernel import derive_seed
 from repro.sim.node import Node
@@ -135,6 +135,27 @@ def _arrival_plan(spec: RsmRunSpec, session: int) -> list[float]:
         if t >= spec.duration:
             return plan
         plan.append(t)
+
+
+class _Views(Mapping):
+    """pid -> ``view(record)``, a fresh iterator over one replica's apply
+    record, made when a checker reaches that pid: the drain checks hold one
+    replica's view at a time instead of lists for every replica at once."""
+
+    def __init__(
+        self, records: dict[int, ApplyRecord], view: Callable[[ApplyRecord], Iterator]
+    ) -> None:
+        self._records = records
+        self._view = view
+
+    def __getitem__(self, pid: int) -> Iterator:
+        return self._view(self._records[pid])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
 
 
 class ReplicaGroup:
@@ -337,10 +358,7 @@ class ReplicaGroup:
             auth = replicas[authority]
 
             try:
-                check_rsm_linearizable(
-                    [(e.request.command, e.result) for e in auth.audit],
-                    self._machine(),
-                )
+                check_rsm_linearizable(auth.applies.history(), self._machine())
             except LinearizabilityViolation:
                 if spec.check:
                     raise
@@ -350,18 +368,13 @@ class ReplicaGroup:
                 check_uniform_total_order(
                     {pid: replicas[pid].abcast.delivered_ids for pid in survivors}
                 )
-                audited = {
-                    pid: [e.request.rid for e in replicas[pid].audit]
-                    for pid in (*survivors, *learners)
+                records = {
+                    pid: replicas[pid].applies for pid in (*survivors, *learners)
                 }
-                check_rsm_exactly_once(audited)
-                check_rsm_session_order(audited)
-                check_rsm_log_consistent(
-                    {
-                        pid: [(e.index, e.request.rid) for e in replicas[pid].audit]
-                        for pid in (*survivors, *learners)
-                    }
-                )
+                rids = _Views(records, ApplyRecord.rids)
+                check_rsm_exactly_once(rids)
+                check_rsm_session_order(rids)
+                check_rsm_log_consistent(_Views(records, ApplyRecord.indexed))
                 for pid in survivors:
                     if replicas[pid].digest() != auth.digest():
                         raise TerminationFailure(
@@ -383,15 +396,14 @@ class ReplicaGroup:
 
             if sharded:
                 # Commit order of transactions here, with the keys each
-                # staged (recovered from the same audit's prepare entries).
+                # staged (recovered from the same record's prepare entries).
                 staged_keys: dict[str, tuple[str, ...]] = {}
-                for entry in auth.audit:
-                    command = entry.request.command
+                for command, result in auth.applies.history():
                     if not isinstance(command, TxnCommand):
                         continue
                     if command.op == "txn-prepare":
                         staged_keys[command.txid] = command.keys
-                    elif command.op == "txn-commit" and entry.result == "committed":
+                    elif command.op == "txn-commit" and result == "committed":
                         commit_order.append(
                             (command.txid, staged_keys.get(command.txid, ()))
                         )

@@ -25,8 +25,11 @@ the dedup cache without re-proposing.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from operator import attrgetter
+from typing import Any, Callable, Iterator
 
 from repro.core.abcast_base import AbcastModule, AppMessage
 from repro.errors import ConfigurationError
@@ -44,6 +47,7 @@ __all__ = [
     "CatchUpRequest",
     "CatchUpReply",
     "AppliedEntry",
+    "ApplyRecord",
     "RsmReplica",
 ]
 
@@ -88,6 +92,64 @@ class AppliedEntry:
     request: Request
     result: Any
     at: float = field(compare=False)
+
+
+_RID = attrgetter("rid")
+_COMMAND = attrgetter("command")
+
+
+class ApplyRecord:
+    """Every command one replica applied, kept as four columns.
+
+    Row ``i`` is one apply: ``index[i]`` (the apply index), ``request[i]``,
+    ``result[i]`` and ``at[i]`` (virtual time).  The two numeric columns are
+    typed arrays, so a row costs four machine words, not an
+    :class:`AppliedEntry` and a boxed float.  Indexes increase strictly but
+    need not be contiguous: a learner that installs a newer snapshot from a
+    catch-up reply skips the indexes that snapshot covers.
+
+    The views below are iterators over the columns, built when read, so a
+    checker walks one replica's record without a materialised copy.
+    """
+
+    __slots__ = ("index", "request", "result", "at")
+
+    def __init__(self) -> None:
+        self.index = array("q")
+        self.request: list[Request] = []
+        self.result: list[Any] = []
+        self.at = array("d")
+
+    def append(self, index: int, request: Request, result: Any, at: float) -> None:
+        self.index.append(index)
+        self.request.append(request)
+        self.result.append(result)
+        self.at.append(at)
+
+    def rids(self) -> Iterator[tuple[int, int]]:
+        """``(session, seq)`` per apply (exactly-once, session order)."""
+        return map(_RID, self.request)
+
+    def indexed(self) -> Iterator[tuple[int, tuple[int, int]]]:
+        """``(index, (session, seq))`` per apply (log agreement)."""
+        return zip(self.index, map(_RID, self.request))
+
+    def history(self) -> Iterator[tuple[Any, Any]]:
+        """``(command, result)`` per apply (linearizability by replay)."""
+        return zip(map(_COMMAND, self.request), self.result)
+
+    def position(self, index: int) -> int | None:
+        """The row of apply ``index``, or None if this replica skipped it.
+
+        Rows are contiguous unless a snapshot install skipped indexes, so
+        the offset from the first index is tried before a search."""
+        indexes = self.index
+        if indexes:
+            row = index - indexes[0]
+            if 0 <= row < len(indexes) and indexes[row] == index:
+                return row
+        row = bisect_left(indexes, index)
+        return row if row < len(indexes) and indexes[row] == index else None
 
 
 class RsmReplica(HostProcess):
@@ -151,9 +213,9 @@ class RsmReplica(HostProcess):
         #: applied_index`` — what this replica can serve to a learner.
         self.log: list[Request] = []
         self.log_base = 0
-        #: Full audit log (measurement/checker-only; never compacted and
-        #: never sent on the wire — the protocol path uses ``self.log``).
-        self.audit: list[AppliedEntry] = []
+        #: Every apply (measurement/checker-only; never compacted and never
+        #: sent on the wire — the protocol path uses ``self.log``).
+        self.applies = ApplyRecord()
 
         self.commit_listeners: list[Callable[[int, Request, Any, float], None]] = []
         self.batch_sizes: list[int] = []
@@ -170,6 +232,14 @@ class RsmReplica(HostProcess):
     @property
     def is_learner(self) -> bool:
         return self._module_factory is None
+
+    @property
+    def audit(self) -> list[AppliedEntry]:
+        """The apply record as entries, built on each read."""
+        applies = self.applies
+        return list(
+            map(AppliedEntry, applies.index, applies.request, applies.result, applies.at)
+        )
 
     def on_start(self) -> None:
         snapshot = self.store.get(SNAPSHOT_KEY)
@@ -246,9 +316,7 @@ class RsmReplica(HostProcess):
         self.applied_index += 1
         self.log.append(request)
         self.dedup.record(request.session, request.seq, result)
-        self.audit.append(
-            AppliedEntry(self.applied_index, request, result, self.env.now())
-        )
+        self.applies.append(self.applied_index, request, result, self.env.now())
         if self.obs_detail and self.tracer is not None:
             self.tracer.emit(
                 self.env.now(),

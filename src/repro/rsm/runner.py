@@ -41,7 +41,7 @@ from repro.rsm.group import (
     launch,
     session_stats,
 )
-from repro.rsm.replica import RsmReplica
+from repro.rsm.replica import ApplyRecord, RsmReplica
 from repro.rsm.shard import (
     ShardRouter,
     TxnDriver,
@@ -242,6 +242,26 @@ def latency_summary_ms(latencies: list[float]) -> dict | None:
     }
 
 
+def _apply_lags(records: list[ApplyRecord]) -> list[float]:
+    """Spread of apply times of each index every record applied, in the
+    first record's apply order.  The columns are lined up row by row; the
+    indexes a snapshot install skipped are simply absent."""
+    if not records:
+        return []
+    first, *others = records
+    lags = []
+    for row, index in enumerate(first.index):
+        times = [first.at[row]]
+        for other in others:
+            there = other.position(index)
+            if there is None:
+                break
+            times.append(other.at[there])
+        else:
+            lags.append(max(times) - min(times))
+    return lags
+
+
 def service_metrics(result: RsmRunResult) -> dict:
     """JSON-safe service-level metrics section (``RunReport.rsm``).
 
@@ -320,16 +340,9 @@ def service_metrics(result: RsmRunResult) -> dict:
         "max_size": max(batch_sizes, default=0),
     }
     # Apply lag: spread of apply times for the same index across survivors.
-    survivors = [pid for pid in result.replicas if pid not in result.crashed]
-    times_by_index: dict[int, list[float]] = {}
-    for pid in survivors:
-        for entry in result.replicas[pid].audit:
-            times_by_index.setdefault(entry.index, []).append(entry.at)
-    lags = [
-        max(times) - min(times)
-        for times in times_by_index.values()
-        if len(times) == len(survivors)
-    ]
+    lags = _apply_lags(
+        [r.applies for pid, r in result.replicas.items() if pid not in result.crashed]
+    )
     section["apply_lag_ms"] = (
         {"mean": sum(lags) / len(lags) * 1e3, "max": max(lags) * 1e3}
         if lags

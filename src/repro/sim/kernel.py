@@ -422,6 +422,8 @@ class Simulator:
           whenever a handler runs, keeping :meth:`pending` exact.
         * ``stop()`` or an exception pushes the unexecuted tail back onto
           the heap, leaving the queue consistent for a later resume.
+        * A fired (or skipped) entry's slot is cleared, so the cohort holds
+          only its unfired tail.
         """
         queue = self._queue
         pop = heappop
@@ -514,6 +516,10 @@ class Simulator:
                             if self._stopped:
                                 break
                         time, _seq, fn, args, event = entry
+                        # Let go of the entry as it fires: a long cohort
+                        # (every open-loop submit timer of a run) must not
+                        # pin its fired events until the cohort ends.
+                        batch[i] = None
                         i += 1
                         if event is not None:
                             if event.cancelled:

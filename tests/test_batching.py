@@ -9,6 +9,7 @@ counters, same heap timestamps.
 """
 
 import random
+import weakref
 
 import pytest
 
@@ -122,6 +123,91 @@ class TestBatchedVsStepEquivalence:
         assert repr(trace_batched) == repr(trace_serial)
         assert batched.events_processed == serial.events_processed
         assert batched.pending() == serial.pending() == 0
+
+
+class _Payload:
+    """A weak-referenceable event argument."""
+
+
+class TestCohortLetsGo:
+    """A gathered cohort holds its unfired tail only: each entry is released
+    as it fires, and stop() or an exception re-queues the rest in order."""
+
+    DEPTH = 200  # one cohort: well past the batching threshold
+
+    def _cohort(self, sim, fired, act=None):
+        """Schedule DEPTH events at distinct times; returns a weakref to
+        each one's payload (the handles are dropped, so only the kernel
+        holds the payloads)."""
+
+        def handler(k, payload):
+            fired.append(k)
+            if act is not None:
+                act(k)
+
+        refs = []
+        for k in range(self.DEPTH):
+            payload = _Payload()
+            refs.append(weakref.ref(payload))
+            sim.schedule(1.0 + k, handler, k, payload)
+        return refs
+
+    def test_fired_entry_is_released_before_the_cohort_ends(self):
+        sim = Simulator(batch=True)
+        fired, seen = [], {}
+        refs = self._cohort(
+            sim, fired, lambda k: seen.setdefault(k, [r() is None for r in refs[:3]])
+        )
+        sim.run()
+        assert sim.drain_batches == 1 and fired == list(range(self.DEPTH))
+        # While event 0 runs, nothing of the cohort is garbage yet; by the
+        # time event 150 of the same cohort runs, the payloads of the
+        # events that fired are.
+        assert seen[0] == [False, False, False]
+        assert seen[150] == [True, True, True]
+
+    def test_stop_requeues_the_unfired_tail_in_order(self):
+        sim = Simulator(batch=True)
+        fired = []
+        self._cohort(sim, fired, lambda k: sim.stop() if k == 40 else None)
+        sim.run()
+        assert fired == list(range(41))
+        assert sim.pending() == self.DEPTH - 41
+        sim.run()
+        assert fired == list(range(self.DEPTH))
+        assert sim.pending() == 0
+
+    def test_exception_requeues_the_unfired_tail_in_order(self):
+        def boom(k):
+            if k == 40:
+                raise ValueError("handler failed")
+
+        sim = Simulator(batch=True)
+        fired = []
+        self._cohort(sim, fired, boom)
+        with pytest.raises(ValueError, match="handler failed"):
+            sim.run()
+        assert fired == list(range(41))
+        assert sim.pending() == self.DEPTH - 41
+        sim.run()
+        assert fired == list(range(self.DEPTH))
+
+    def test_exception_in_a_merged_event_requeues_the_entry_it_preceded(self):
+        # Event 40 schedules a same-time event; the merge guard fires it
+        # before cohort entry 41, and it raises: entry 41 was never fired,
+        # so it must come back with the rest of the tail.
+        def fail():
+            raise ValueError("merged event failed")
+
+        sim = Simulator(batch=True)
+        fired = []
+        self._cohort(sim, fired, lambda k: sim.schedule(0.0, fail) if k == 40 else None)
+        with pytest.raises(ValueError, match="merged event failed"):
+            sim.run()
+        assert fired == list(range(41))
+        assert sim.pending() == self.DEPTH - 41
+        sim.run()
+        assert fired == list(range(self.DEPTH))
 
 
 class TestStepCorruptionCheck:

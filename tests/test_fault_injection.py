@@ -126,8 +126,8 @@ class TestAbcastCheckersHaveTeeth:
             def on_message(self, src, msg):
                 if isinstance(msg, AppMessage):
                     # Bypass the dedup guard on purpose.
-                    self.delivered.append(msg)
-                    self.delivered.append(msg)
+                    self.delivered_ids.append(msg.msg_id)
+                    self.delivered_ids.append(msg.msg_id)
 
         def make(pid, env, oracle, host):
             return Duplicator(env)

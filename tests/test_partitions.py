@@ -121,7 +121,7 @@ class TestAbcastUnderPartition:
 
         network.partition({0}, {1, 2})  # leader isolated before the send
         sim.run(until=0.2)
-        assert all(len(h.abcast.delivered) == 0 for h in hosts.values())
+        assert all(h.abcast.delivered_ids == [] for h in hosts.values())
 
         # Heal and let the detector (conservatively) fail the old leader
         # over to p1, which retransmits the pending request to itself.

@@ -256,7 +256,7 @@ class TestSlotLifetime:
         module.on_message(1, CatchUpReply(((1, first), (2, second))))
         assert set(module._votes) == {3}
         assert module._next_deliver == 3
-        assert [m.msg_id for m in module.delivered] == [(1, 1), (1, 2)]
+        assert module.delivered_ids == [(1, 1), (1, 2)]
 
 
 class TestDeliveryFloor:

@@ -12,6 +12,7 @@ exercised deterministically:
   table at every replica.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from repro.errors import (
     ConfigurationError,
     IntegrityViolation,
     LinearizabilityViolation,
+    ReproError,
     TotalOrderViolation,
 )
 from repro.harness.checkers import (
@@ -30,6 +32,7 @@ from repro.harness.checkers import (
     check_rsm_linearizable,
     check_rsm_log_consistent,
     check_rsm_session_order,
+    check_uniform_total_order,
 )
 from repro.rsm import (
     BATCH_TIMER,
@@ -325,6 +328,22 @@ class TestRunRsm:
         assert metrics["recovery"]["2"]["digest_match"] is True
         assert metrics["recovery"]["2"]["replayed"] == learner.replayed
 
+    def test_learner_apply_record_is_unchanged_across_a_snapshot_jump(self):
+        # The learner boots from its own snapshot, then installs newer ones
+        # from catch-up replies, so its apply indexes jump.  Its record, read
+        # back as entries, is pinned to what the full-entry list recorded.
+        result = run_rsm(quick_spec(duration=1.0, crash_at=((2, 0.5),)))
+        learner = result.learners[2]
+        audit = learner.audit
+        indexes = [entry.index for entry in audit]
+        assert learner.snapshot_installs > 1
+        assert (123, 126) in zip(indexes, indexes[1:])
+        assert len(learner.applies.index) == len(audit) == 45
+        rows = [(e.index, e.request, e.result, e.at) for e in audit]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "8ce255fa2a4b9b7222e71558630869223a5d6ea1f708f3a5a1b29c86d9631540"
+        )
+
     def test_recovery_without_snapshots_replays_everything(self):
         result = run_rsm(
             quick_spec(duration=1.0, crash_at=((2, 0.5),), snapshot_every=0)
@@ -386,6 +405,180 @@ class TestGroupAssembly:
         assert [outcome] == result.outcomes
         assert sorted(drivers) == sorted(result.drivers) == list(range(spec.clients))
         assert set(group.learners) == {2}
+
+
+def _materialised_drain_check(group) -> ReproError | None:
+    """The drain checks fed whole lists, built from ``audit`` for every
+    replica at once: the form the group's per-replica views replace."""
+    replicas, learners = group.replicas, group.learners
+    survivors = group.serving.pids()
+    authority = min(survivors, key=lambda pid: (-replicas[pid].applied_index, pid))
+    try:
+        check_rsm_linearizable(
+            [(e.request.command, e.result) for e in replicas[authority].audit],
+            KvStore(),
+        )
+        check_uniform_total_order(
+            {pid: list(replicas[pid].abcast.delivered_ids) for pid in survivors}
+        )
+        audited = {
+            pid: [e.request.rid for e in replicas[pid].audit]
+            for pid in (*survivors, *learners)
+        }
+        check_rsm_exactly_once(audited)
+        check_rsm_session_order(audited)
+        check_rsm_log_consistent(
+            {
+                pid: [(e.index, e.request.rid) for e in replicas[pid].audit]
+                for pid in (*survivors, *learners)
+            }
+        )
+    except ReproError as err:
+        return err
+    return None
+
+
+def _swap(column, a, b):
+    column[a], column[b] = column[b], column[a]
+
+
+def _rows_of_one_session(record):
+    rows = {}
+    for row, request in enumerate(record.request):
+        rows.setdefault(request.session, []).append(row)
+    return next(pair[:2] for pair in rows.values() if len(pair) > 1)
+
+
+def _rows_of_two_sessions(record):
+    return next(
+        (row, row + 1)
+        for row in range(len(record.request) - 1)
+        if record.request[row].session != record.request[row + 1].session
+    )
+
+
+# Sabotages of a finished run, each ``(authority, survivor, learner)``:
+# replica 0 is the authority, survivor 1 is not, learner 2 rejoined through
+# snapshot installs.
+
+
+def _duplicate_rid(auth, other, learner):
+    other.applies.request[10] = other.applies.request[9]
+
+
+def _seq_out_of_session_order(auth, other, learner):
+    _swap(other.applies.request, *_rows_of_one_session(other.applies))
+
+
+def _disagree_at_one_index(auth, other, learner):
+    _swap(learner.applies.request, *_rows_of_two_sessions(learner.applies))
+
+
+def _index_column_shifted(auth, other, learner):
+    learner.applies.index[5] += 1
+
+
+def _diverging_delivery_order(auth, other, learner):
+    _swap(other.abcast.delivered_ids, 3, 4)
+
+
+def _wrong_result(auth, other, learner):
+    auth.applies.result[7] = "sabotaged"
+
+
+#: sabotage -> the checker error it must raise.
+SABOTAGES = {
+    _duplicate_rid: IntegrityViolation,
+    _seq_out_of_session_order: TotalOrderViolation,
+    _disagree_at_one_index: AgreementViolation,
+    _index_column_shifted: AgreementViolation,
+    _diverging_delivery_order: TotalOrderViolation,
+    _wrong_result: LinearizabilityViolation,
+}
+
+
+class TestDrainCheckViews:
+    """The drain checks read each replica's apply record through lazy
+    per-replica views; on sabotaged columns they must fail exactly as the
+    same checkers fed materialised lists do — type and message."""
+
+    def _run_group(self):
+        from repro.rsm.group import Fabric, ReplicaGroup, launch
+
+        spec = quick_spec(duration=1.0, crash_at=((2, 0.5),))
+        fabric = Fabric.fresh(spec.cluster, spec.seed, spec.batch)
+        group = ReplicaGroup(spec, fabric)
+        launch([group], nemesis=spec.nemesis)
+        fabric.sim.run(until=spec.horizon, max_events=spec.max_events)
+        return group
+
+    def test_an_untouched_run_passes_both_ways(self):
+        group = self._run_group()
+        assert group.check().failure is None
+        assert _materialised_drain_check(group) is None
+
+    @pytest.mark.parametrize(
+        "sabotage", list(SABOTAGES), ids=lambda fn: fn.__name__.strip("_")
+    )
+    def test_sabotage_fails_identically(self, sabotage):
+        error = SABOTAGES[sabotage]
+        group = self._run_group()
+        replicas = group.replicas
+        assert group.check().authority == 0 and set(group.learners) == {2}
+        sabotage(replicas[0], replicas[1], replicas[2])
+
+        expected = _materialised_drain_check(group)
+        failure = group.check().failure
+        assert type(expected) is error
+        assert type(failure) is error
+        assert str(failure) == str(expected)
+
+
+class TestApplyLag:
+    """``apply_lag_ms`` lines the survivors' index columns up row by row;
+    the reference groups apply times per index in a dict, in the first
+    survivor's order."""
+
+    @staticmethod
+    def _reference(records):
+        times_by_index = {}
+        for record in records:
+            for index, at in zip(record.index, record.at):
+                times_by_index.setdefault(index, []).append(at)
+        return [
+            max(times) - min(times)
+            for times in times_by_index.values()
+            if len(times) == len(records)
+        ]
+
+    @staticmethod
+    def _record(indexes, skew):
+        from repro.rsm.replica import ApplyRecord
+
+        record = ApplyRecord()
+        for index in indexes:
+            record.append(index, None, None, index * 1e-3 + (skew * index) % 7 * 1e-5)
+        return record
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [range(1, 40), range(1, 40), range(1, 40)],
+            [range(1, 40), range(1, 25), range(1, 40)],
+            # a learner that joined late and skipped indexes twice
+            [range(1, 40), [*range(12, 18), *range(21, 30), *range(33, 45)]],
+            [[*range(5, 9), *range(20, 31)], range(1, 40), range(25, 60)],
+            [range(1, 10), range(20, 30)],
+            [range(1, 10)],
+            [[], range(1, 10)],
+        ],
+    )
+    def test_matches_the_dict_grouping(self, columns):
+        from repro.rsm.runner import _apply_lags
+
+        records = [self._record(c, skew) for skew, c in enumerate(columns, 1)]
+        assert _apply_lags(records) == self._reference(records)
+        assert _apply_lags([]) == []
 
 
 class TestExactlyOnceAcrossLeaderCrash:

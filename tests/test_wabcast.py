@@ -173,7 +173,7 @@ class TestStateLifetime:
         abcast.a_broadcast("y")
         batch = frozenset({first})
         abcast.on_message(1, WabDecision(1, batch))
-        assert abcast.round == 2 and abcast.delivered == [first]
+        assert abcast.round == 2 and abcast.delivered_ids == [first.msg_id]
         (own,) = [m for dst, m in env.sent if dst == 0 and isinstance(m, WabMessage)
                   and m.instance == (2, 1)]
         abcast.on_message(0, own)  # the round's first w-delivery: vote
