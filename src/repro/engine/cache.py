@@ -6,7 +6,10 @@ constructed with ``compress=True``) where ``key`` is the spec's sha256
 :class:`~repro.engine.report.RunReport` dicts in canonical JSON
 (:meth:`RunReport.to_json`), written atomically (temp file + rename) so a
 crashed run never leaves a half-written entry.  A corrupt or
-schema-mismatched entry reads as a miss and is re-run, never trusted.
+schema-mismatched entry, or one whose stored spec or key is not the
+requested one, reads as a miss and is re-run, never trusted.  A hit is
+built around the caller's spec object: one read, one parse, no spec
+decoding and no re-derived key.
 
 Reads are transparent across formats — a ``compress=True`` cache still
 serves legacy ``.json`` entries unchanged, and a plain cache reads
@@ -86,11 +89,12 @@ class ResultCache:
         if not isinstance(data, dict) or data.get("schema") != REPORT_SCHEMA:
             return None
         # Paranoia against hash collisions and hand-edited entries: the
-        # stored spec must describe the run we were asked for.
-        if data.get("spec") != spec.to_dict():
+        # stored spec and key must describe the run we were asked for.  The
+        # report is then built around the caller's spec, not a decoded copy.
+        if data.get("key") != key or not spec.matches(data.get("spec")):
             return None
         try:
-            report = RunReport.from_dict(data)
+            report = RunReport.from_dict(data, spec=spec)
         except (KeyError, TypeError, ValueError, ConfigurationError):
             # ConfigurationError covers entries whose stored spec no longer
             # decodes (unknown kind/model after a hand edit or version skew);

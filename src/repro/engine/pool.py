@@ -151,8 +151,8 @@ def run_chunk(
 
     ``REPRO_KERNEL_BATCH=0`` in the worker's environment forces every spec
     onto the kernel's serial drain (``batch=False``) for A/B debugging.
-    Reports are byte-identical either way, and the parent keys
-    the cache by its own copy of the spec, so cache keys are unaffected.
+    Reports are byte-identical either way, and the report is shipped under
+    the requested spec and its key, so cache keys are unaffected.
 
     ``workers_cap`` bounds how many processes a parallel (kernel-per-shard)
     cell may spawn of its own (the sweep scheduler's share of the CPU budget).
@@ -168,8 +168,10 @@ def run_chunk(
     for index, spec in chunk:
         try:
             if force_serial and getattr(spec, "batch", True):
-                spec = replace(spec, batch=False)
-            report = execute_run(spec, workers_cap=workers_cap)
+                report = execute_run(replace(spec, batch=False), workers_cap=workers_cap)
+                report = replace(report, spec=spec, key=spec.cache_key())
+            else:
+                report = execute_run(spec, workers_cap=workers_cap)
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             message = f"{type(exc).__name__}: {exc}"
             out.append((index, "err", message.encode("utf-8")))

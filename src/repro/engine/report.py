@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,25 +146,47 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
+    def from_dict(
+        cls, data: dict, spec: AbcastRunSpec | RsmRunSpec | None = None
+    ) -> "RunReport":
+        """Rebuild a report from its dict form.
+
+        A caller that already holds the spec the report was run for (a
+        cache hit, a pool worker's result) passes it as ``spec``: the
+        report then keeps that object and its key instead of decoding a
+        copy.  The caller vouches that ``data`` describes that spec.
+        """
         summary = data["summary"]
-        spec_data = data["spec"]
-        # Reports predating the spec "kind" tag are all abcast runs.
-        if "kind" in spec_data:
-            spec = spec_from_dict(spec_data)
+        if spec is None:
+            spec_data = data["spec"]
+            # Reports predating the spec "kind" tag are all abcast runs.
+            if "kind" in spec_data:
+                spec = spec_from_dict(spec_data)
+            else:
+                spec = AbcastRunSpec.from_dict(spec_data)
+            key = data["key"]
         else:
-            spec = AbcastRunSpec.from_dict(spec_data)
+            key = spec.cache_key()
         return cls(
             spec=spec,
-            key=data["key"],
+            key=key,
             offered=data["offered"],
             delivered=data["delivered"],
             latencies=tuple(data["latencies"]),
             summary=LatencySummary.empty() if summary is None else LatencySummary(**summary),
-            network=data["network"],
-            trace_counts=data["trace_counts"],
+            network=_interned(data["network"]),
+            trace_counts=_interned(data["trace_counts"]),
             sim_time=data["sim_time"],
             perf=data.get("perf"),
             rsm=data.get("rsm"),
             obs=data.get("obs"),
         )
+
+
+def _interned(section: dict) -> dict:
+    """``section`` with every dict key interned, so the many reports of a
+    sweep share one copy of each message-kind and counter name."""
+    return {
+        sys.intern(name): _interned(value) if isinstance(value, dict) else value
+        for name, value in section.items()
+    }

@@ -255,8 +255,8 @@ def run_sweep(
     mid-grid loses nothing that finished.  Runs are independent
     deterministic simulations, so reports are byte-identical to serial
     execution (same ``cache_key``, same canonical JSON); parallel-fresh
-    reports are decoded from that JSON, exactly like reports read back from
-    the cache.
+    reports are decoded from that JSON around the caller's spec object,
+    exactly like reports read back from the cache.
 
     ``jobs`` exceeding the schedulable CPUs is clamped (oversubscription
     only adds contention) and noted in ``SweepResult.notes``; pass
@@ -405,7 +405,9 @@ def _run_parallel(
                 if status != "ok":
                     failures.append((by_index[index].cache_key(), text))
                     continue
-                report = RunReport.from_dict(json.loads(text))
+                # The report is built around the spec this process sent,
+                # so the worker's copy of it is never decoded.
+                report = RunReport.from_dict(json.loads(text), spec=by_index[index])
                 reports[index] = report
                 if store is not None:
                     store.put(report, text=text)

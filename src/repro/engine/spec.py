@@ -186,15 +186,41 @@ _OBS = ("obs", "obs_metrics_interval", "obs_flight_recorder")
 
 class _RunSpec(Encoded):
     """Common base of the run specs: ``kind``-tagged, content-addressed;
-    fields added after the first cache keys sit in omit-groups."""
+    fields added after the first cache keys sit in omit-groups.
+
+    A spec derives its canonical dict and key once and keeps both in its
+    ``__dict__`` (outside the dataclass fields, so equality, hashing and
+    ``repr`` ignore them).  That is sound because every typed field holds a
+    frozen dataclass, a tuple or a scalar, and a spec that does not hash (a
+    mutable value in an ``Any`` field) keeps no memo; ``dataclasses.replace``
+    builds a new object with no memo, and a pickled spec carries its memo.
+    """
 
     tag = "kind"
     tag_label = "spec kind"
     omit = (_OBS, ("batch",), ("nemesis",))
 
+    def _canonical(self) -> tuple[dict, str]:
+        memo = self.__dict__.get("_canonical_memo")
+        if memo is None:
+            data = self.to_dict()
+            memo = (data, content_key({"version": SPEC_VERSION, **data}))
+            try:
+                hash(self)
+            except TypeError:
+                # A mutable value inside an untyped field (a list among
+                # consensus proposals decoded from JSON): derive each time.
+                return memo
+            self.__dict__["_canonical_memo"] = memo
+        return memo
+
     def cache_key(self) -> str:
         """Stable content address of this run's result."""
-        return content_key({"version": SPEC_VERSION, **self.to_dict()})
+        return self._canonical()[1]
+
+    def matches(self, data: Any) -> bool:
+        """Whether ``data`` is this spec's canonical dict (``to_dict()``)."""
+        return data == self._canonical()[0]
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ __all__ = [
     "MultiPaxosAbcast",
 ]
 
+#: Stable-storage key prefix of one learner write's delivered ids.
+_DELIVERED_PREFIX = "delivered_ids@"
+
 
 @dataclass(frozen=True)
 class Request:
@@ -164,6 +167,8 @@ class MultiPaxosAbcast(AbcastModule):
         self._kept_from = 1
         # Requests this process originated that are not yet delivered.
         self._pending: dict[tuple[int, int], AppMessage] = {}
+        # How many of ``delivered_ids`` this incarnation has persisted.
+        self._persisted = 0
         if self._recovering_incarnation:
             self._restore()
         omega.subscribe(self._on_omega_change)
@@ -176,7 +181,9 @@ class MultiPaxosAbcast(AbcastModule):
         self._accepted = dict(self.storage.get("accepted", {}))
         self._attempt = self.storage.get("attempt", 0)
         self._next_deliver = self.storage.get("next_deliver", 1)
-        self._delivered_ids = set(self.storage.get("delivered_ids", set()))
+        for key in self.storage.keys():
+            if key.startswith(_DELIVERED_PREFIX):
+                self._delivered_ids.update(self.storage.get(key))
         self._next_seq = self.storage.get("next_seq", 0)
 
     def _persist_acceptor(self) -> None:
@@ -185,9 +192,14 @@ class MultiPaxosAbcast(AbcastModule):
             self.storage.put("accepted", dict(self._accepted))
 
     def _persist_learner(self) -> None:
+        """Write delivery progress: ``next_deliver`` and only the ids
+        delivered since the last write, under a key of their own (named by
+        ``next_deliver``, which only grows), so a run writes each id once."""
         if self.storage is not None:
+            fresh = tuple(self.delivered_ids[self._persisted:])
+            self._persisted = len(self.delivered_ids)
             self.storage.put("next_deliver", self._next_deliver)
-            self.storage.put("delivered_ids", set(self._delivered_ids))
+            self.storage.put(f"{_DELIVERED_PREFIX}{self._next_deliver}", fresh)
 
     # ------------------------------------------------------------- lifecycle
 

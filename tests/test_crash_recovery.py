@@ -107,8 +107,9 @@ class TestNodeRecovery:
         assert net.stats.sent == before
 
 
-def recovery_cluster(seed=1, delay=ConstantDelay(5e-4), shared_floor=False):
-    """3-node Multi-Paxos cluster with stable storage for everyone.
+def recovery_cluster(seed=1, delay=ConstantDelay(5e-4), shared_floor=False, messages=12):
+    """3-node Multi-Paxos cluster with stable storage for everyone; p1
+    a-broadcasts ``messages`` messages, one per millisecond.
 
     ``shared_floor`` hands every module the oracle's delivery floor, as the
     registry factory does; otherwise each keeps its whole log."""
@@ -128,7 +129,7 @@ def recovery_cluster(seed=1, delay=ConstantDelay(5e-4), shared_floor=False):
         )
 
     hosts, nodes = {}, {}
-    schedules = {1: [(0.001 * (i + 1), f"m{i}") for i in range(12)]}
+    schedules = {1: [(0.001 * (i + 1), f"m{i}") for i in range(messages)]}
     for pid in pids:
         hosts[pid] = make_host(pid, schedules.get(pid, ()))
         nodes[pid] = Node(sim, network, pid, pids, hosts[pid])
@@ -291,3 +292,42 @@ class TestMultiPaxosRecovery:
         nodes[2].recover(replacement)
         sim.run(until=0.6)
         assert replacement.abcast._promised >= promised_before
+
+
+class TestLearnerPersistence:
+    """Each learner write holds only the ids delivered since the last one."""
+
+    def _run(self, monkeypatch, messages):
+        written = []
+        real_put = StableStore.put
+
+        def put(store, key, value):
+            if key.startswith("delivered_ids"):
+                written.append(len(value))
+            real_put(store, key, value)
+
+        monkeypatch.setattr(StableStore, "put", put)
+        sim, nodes, hosts, make_host, oracle = recovery_cluster(seed=3, messages=messages)
+        horizon = 0.001 * messages
+        nodes[2].crash_at(0.3 * horizon)
+        reborn = []
+
+        def rebuild():
+            reborn.append(make_host(2))
+            return reborn[0]
+
+        nodes[2].recover_at(0.6 * horizon, rebuild)
+        sim.run(until=horizon + 1.0)
+        lives = list(hosts.values()) + reborn
+        assert len(hosts[0].abcast.delivered_ids) == messages
+        assert reborn[0].abcast.delivered_ids[-1] == hosts[0].abcast.delivered_ids[-1]
+        return sum(written), sum(len(host.abcast.delivered_ids) for host in lives)
+
+    def test_ids_written_grow_linearly_with_deliveries(self, monkeypatch):
+        short_written, short_delivered = self._run(monkeypatch, 40)
+        long_written, long_delivered = self._run(monkeypatch, 160)
+        # Every delivered id is written once, by the incarnation that
+        # delivered it (a full-set write per delivery is quadratic).
+        assert short_written == short_delivered
+        assert long_written == long_delivered
+        assert long_written / short_written < 2 * long_delivered / short_delivered

@@ -1,9 +1,14 @@
 """Tests for the parallel experiment engine: specs, cache, sweep executor."""
 
+import dataclasses
 import json
+import pickle
+import types
+import typing
 
 import pytest
 
+from repro import codec
 from repro.engine import (
     PAPER_LAN,
     AbcastRunSpec,
@@ -32,8 +37,9 @@ from repro.harness.registry import (
     name_of,
     protocol_names,
 )
-from repro.nemesis.spec import CpuSkewOp, NemesisSpec
+from repro.nemesis.spec import CpuSkewOp, DropOp, NemesisSpec
 from repro.sim import trace as trace_mod
+from repro.sim.network import DelayModel
 from repro.sim.trace import Tracer
 
 
@@ -591,3 +597,132 @@ class TestResultCacheV2:
         assert len(cache._memory) == 2
         assert specs[0].cache_key() not in cache._memory
         assert specs[2].cache_key() in cache._memory
+
+
+def _spec_variants():
+    drop = NemesisSpec((DropOp(at=0.05, duration=0.05, p=0.5),))
+    specs = {
+        "abcast": quick_spec(cluster=PAPER_LAN),
+        "consensus": ConsensusRunSpec(protocol="l-consensus", proposals=("a", "b", "c", "d")),
+        "rsm": RsmRunSpec(protocol="cabcast-l", rate=100.0, duration=0.2, crash_at=((1, 0.1),)),
+    }
+    for name, spec in list(specs.items()):
+        specs[name + "+nemesis"] = dataclasses.replace(spec, nemesis=drop)
+    return specs
+
+
+def _field_type_problems(hint, where: str, opaque: list[str], seen: set) -> list[str]:
+    """Where a field of type ``hint`` could hold something mutable."""
+    if hint in (int, float, str, bool, type(None)):
+        return []
+    if hint is typing.Any:
+        opaque.append(where)
+        return []
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple or origin in (typing.Union, types.UnionType):
+        return [
+            problem
+            for arg in args
+            if arg is not Ellipsis
+            for problem in _field_type_problems(arg, where, opaque, seen)
+        ]
+    if hint is DelayModel:  # the codec takes any registered model here
+        return [
+            problem
+            for cls in codec._MODELS.values()
+            for problem in _field_type_problems(cls, where, opaque, seen)
+        ]
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        if not hint.__dataclass_params__.frozen:
+            return [f"{where}: {hint.__name__} is not frozen"]
+        if hint in seen:
+            return []
+        seen.add(hint)
+        hints = typing.get_type_hints(hint)
+        return [
+            problem
+            for f in dataclasses.fields(hint)
+            for problem in _field_type_problems(
+                hints[f.name], f"{hint.__name__}.{f.name}", opaque, seen
+            )
+        ]
+    return [f"{where}: {hint!r} may be mutable"]
+
+
+class TestServedCellsKeepTheSpec:
+    """A served cell is built around the spec object it was asked for, and
+    a spec derives its key once (kept in its ``__dict__``)."""
+
+    def test_warm_hit_keeps_the_callers_spec(self, tmp_path):
+        spec = quick_spec()
+        run_sweep([spec], cache=tmp_path)
+        cache = ResultCache(tmp_path)
+        report = cache.get(spec)
+        assert report.spec is spec
+        assert report.key == spec.cache_key()
+        assert report.to_json() == cache.path_for(spec.cache_key()).read_text()
+
+    def test_pooled_fresh_results_keep_the_callers_specs(self, tmp_path):
+        specs = sweep_grid(["cabcast-p", "wabcast"], rates=[30, 60], duration=0.3,
+                           warmup=0.1, drain=0.5, seed=5)  # fmt: skip
+        sweep = run_sweep(specs, jobs=2, cache=tmp_path, clamp_jobs=False)
+        cache = ResultCache(tmp_path)
+        for spec, report in zip(specs, sweep.reports):
+            assert report.spec is spec
+            assert report.to_json() == cache.path_for(spec.cache_key()).read_text()
+
+    @pytest.mark.parametrize("name", sorted(_spec_variants()))
+    def test_pickled_spec_keeps_the_key_a_fresh_spec_derives(self, name):
+        spec = _spec_variants()[name]
+        key = spec.cache_key()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_canonical_memo" in clone.__dict__  # the memo travelled
+        fresh = spec_from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert "_canonical_memo" not in fresh.__dict__
+        assert clone.cache_key() == fresh.cache_key() == key
+        assert clone.matches(fresh.to_dict())
+        assert "_canonical_memo" not in dataclasses.replace(spec).__dict__
+
+    def test_no_typed_spec_field_can_hold_a_mutable_value(self):
+        opaque: list[str] = []
+        seen: set = set()
+        problems = [
+            problem
+            for cls in (AbcastRunSpec, ConsensusRunSpec, RsmRunSpec)
+            for problem in _field_type_problems(cls, cls.__name__, opaque, seen)
+        ]
+        assert problems == []
+        # The one untyped field is guarded at run time (next test).
+        assert opaque == ["ConsensusRunSpec.proposals"]
+
+    def test_a_spec_holding_a_mutable_value_keeps_no_memo(self):
+        spec = ConsensusRunSpec(protocol="l-consensus", proposals=(["a"], "b", "c"))
+        before = spec.cache_key()
+        spec.proposals[0].append("z")
+        assert "_canonical_memo" not in spec.__dict__
+        assert spec.cache_key() != before
+
+    @pytest.mark.parametrize("damage", ["corrupt", "spec", "key"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        spec = quick_spec()
+        ResultCache(tmp_path).put(execute_run(spec))
+        path = ResultCache(tmp_path).path_for(spec.cache_key())
+        data = json.loads(path.read_text())
+        if damage == "spec":
+            data["spec"]["rate"] = 41.0
+        elif damage == "key":
+            data["key"] = "0" * 64  # decodes fine, names another entry
+        path.write_text("{ not json" if damage == "corrupt" else json.dumps(data))
+        assert ResultCache(tmp_path).get(spec) is None
+
+    def test_decoded_sections_share_their_key_strings(self, tmp_path):
+        spec = quick_spec()
+        ResultCache(tmp_path).put(execute_run(spec))
+        first, second = (ResultCache(tmp_path).get(spec) for _ in range(2))
+        assert first is not second
+        for section in ("network", "trace_counts"):
+            for a, b in zip(getattr(first, section), getattr(second, section)):
+                assert a is b
+        for a, b in zip(first.network["by_kind_bytes"], second.network["by_kind_bytes"]):
+            assert a is b
+        assert first.network == execute_run(spec).network

@@ -382,6 +382,10 @@ class TestDeterminism:
         ((_, status, payload),) = run_chunk([(0, spec)])
         assert status == "ok"
         serial = json.loads(payload.decode("utf-8"))
+        # The report ships under the requested spec, so the parent caches
+        # it where a later request for that spec looks.
+        assert serial["key"] == spec.cache_key()
+        assert "batch" not in serial["spec"]
         for doc in (batched, serial):
             doc.pop("key")
             doc["spec"].pop("batch", None)
