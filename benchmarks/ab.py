@@ -2,7 +2,7 @@
 """Before/after evidence for a change: alternating runs of the repo benchmark.
 
     python3 benchmarks/ab.py --base REV [--head REV] [--workload W ...]
-        [--pairs N] [--seconds S] [--seed S] [--expect-output-change]
+        [--pairs N] [--seconds S] [--seed S] [--expect-output-change] [--heap]
 
 Each revision is exported (``git archive``) into a temporary directory that is
 removed at exit; without ``--head`` the head side is the checkout this script
@@ -20,6 +20,15 @@ pairs because they are exact: ``sim.kernel.events``, ``sim.network.sent``,
 ``sim.network.bytes_sent`` and every per-layer ``.calls``.  A difference there
 is printed even when every host time is inside the noise.
 
+With ``--heap`` each side also runs one more pass of each workload in a child
+process that imports the workload from that side's tree, after one warm-up
+pass, under ``tracemalloc`` and a ``gc.callbacks`` counter.  It prints side by
+side the pass's traced peak, the heap still live (with the pass's output held)
+after ``gc.collect()``, the GC-tracked objects left, and the collections and
+collector seconds per generation.  Only this process is traced: a pooled
+workload's workers are not.  Host times under ``tracemalloc`` are slower than
+untraced ones, so read the collector seconds against each other only.
+
 Exit status: 1 when the two sides' digests differ (unless
 ``--expect-output-change``), when a run fails its own checks, or when one side
 printed two different digests; 0 otherwise.  The last line of each workload's
@@ -29,6 +38,7 @@ block reads ``digests: no change`` / ``counts: no change`` when nothing moved.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -38,6 +48,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +107,77 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int, trace: bool) 
         tail = "\n".join((done.stdout + done.stderr).splitlines()[-15:])
         print(f"  run failed in {tree} (exit {done.returncode}):\n{tail}", file=sys.stderr)
     return result
+
+
+def heap_pass(tree: Path, workload: str, seed: int) -> dict:
+    """One pass of ``workload`` from ``tree``'s sources in this process,
+    after a warm-up pass, under ``tracemalloc`` and a collector counter."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "benchmarks" / "e2e")]
+    from workloads import WORKLOADS
+
+    collections, seconds, started = [0, 0, 0], [0.0, 0.0, 0.0], []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(time.perf_counter())
+        elif started:
+            collections[info["generation"]] += 1
+            seconds[info["generation"]] += time.perf_counter() - started.pop()
+
+    with tempfile.TemporaryDirectory(prefix="repro-heap-") as scratch:
+        wl = WORKLOADS[workload](seed, scratch)
+        wl.prepare()
+        wl.distil(wl.run_pass())
+        gc.collect()
+        tracemalloc.start()
+        gc.callbacks.append(count)
+        try:
+            raw = wl.run_pass()
+        finally:
+            gc.callbacks.remove(count)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        tracked = len(gc.get_objects())
+        wl.distil(raw)
+    return {
+        "peak_mb": peak / 2**20,
+        "live_mb": live / 2**20,
+        "tracked": tracked,
+        "collections": collections,
+        "gc_s": seconds,
+    }
+
+
+def run_heap(tree: Path, workload: str, seed: int) -> dict | None:
+    """:func:`heap_pass` in a child process; None when it failed."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--heap-child", str(tree),
+               workload, str(seed)]  # fmt: skip
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, env=env)
+    try:
+        return json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        tail = "\n".join((done.stdout + done.stderr).splitlines()[-15:])
+        print(f"  heap pass failed in {tree} (exit {done.returncode}):\n{tail}", file=sys.stderr)
+        return None
+
+
+def report_heap(base: dict, head: dict) -> None:
+    """The two sides' :func:`heap_pass` results, side by side."""
+    print("  heap: one pass under tracemalloc (this process only), base -> head")
+
+    def line(label: str, b: float, h: float, form: str) -> None:
+        change = f"{(h - b) / b:+.1%}" if b else "n/a"
+        print(f"    {label:<24} {form.format(b):>10} -> {form.format(h):<10} {change:>8}")
+
+    line("traced peak MB", base["peak_mb"], head["peak_mb"], "{:.2f}")
+    line("live after gc MB", base["live_mb"], head["live_mb"], "{:.2f}")
+    line("gc-tracked objects", base["tracked"], head["tracked"], "{:d}")
+    for gen in range(3):
+        line(f"gen{gen} collections", base["collections"][gen], head["collections"][gen], "{:d}")
+        line(f"gen{gen} collector s", base["gc_s"][gen], head["gc_s"][gen], "{:.4f}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -170,7 +253,7 @@ def compare_counts(base: dict, head: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="revision measured as the parent")
+    parser.add_argument("--base", help="revision measured as the parent (required)")
     parser.add_argument("--head", help="revision measured as the change (default: this checkout)")
     parser.add_argument("--workload", action="append", choices=WORKLOAD_NAMES,
                         help="repeat for several (default: all five)")
@@ -179,7 +262,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="run.py --seed of every run")
     parser.add_argument("--expect-output-change", action="store_true",
                         help="different digests are the point of the change, not a failure")
+    parser.add_argument("--heap", action="store_true",
+                        help="also compare one pass per side under tracemalloc and a gc counter")
+    parser.add_argument("--heap-child", nargs=3, metavar=("TREE", "WORKLOAD", "SEED"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.heap_child:
+        tree, workload, seed = args.heap_child
+        print(json.dumps(heap_pass(Path(tree), workload, int(seed))))
+        return 0
+    if args.base is None:
+        parser.error("--base is required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     workloads = args.workload or list(WORKLOAD_NAMES)
@@ -227,6 +320,12 @@ def compare(workload: str, trees: dict[str, Path], args) -> bool:
         print("\n".join(moved))
     else:
         print("  counts: no change")
+    if args.heap:
+        heaps = {side: run_heap(trees[side], workload, args.seed) for side in trees}
+        if None in heaps.values():
+            print("  heap: FAILED: a heap pass failed (see stderr)")
+            return False
+        report_heap(heaps["base"], heaps["head"])
     return ok
 
 

@@ -181,6 +181,14 @@ def _validate_obs(spec: Any) -> None:
         raise ConfigurationError("obs_flight_recorder must be >= 0")
 
 
+#: Why a parallel sharded run takes no metrics sampler or flight recorder:
+#: both read one kernel and one tracer, and each shard runs its own kernel
+#: in its own process, whose records reach the parent only once it is done.
+PARALLEL_OBS_ERROR = (
+    "parallel execution supports obs detail tracing only; disable "
+    "obs_metrics_interval / obs_flight_recorder or run serial"
+)
+
 _OBS = ("obs", "obs_metrics_interval", "obs_flight_recorder")
 
 
@@ -386,6 +394,12 @@ class RsmRunSpec(_RunSpec):
                 "parallel execution requires txn_clients == 0: cross-shard "
                 "2PC sessions would span partition boundaries"
             )
+        if (
+            self.parallel
+            and self.is_sharded
+            and (self.obs_metrics_interval > 0 or self.obs_flight_recorder > 0)
+        ):
+            raise ConfigurationError(PARALLEL_OBS_ERROR)
         if self.n < 2:
             raise ConfigurationError("an RSM service needs at least two replicas")
         if self.clients < 1:

@@ -27,9 +27,10 @@ graphs and paths never changes what a run emits.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.obs.spans import ConsensusSpan, SpanBuilder
 from repro.sim.trace import KINDS, TraceLog, TraceRecord, describe_value
@@ -181,16 +182,22 @@ class CausalGraph:
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "CausalGraph":
-        """Build from live records, which have the shape of rows."""
-        return cls.from_rows(records)
+        """Build from records; any iterable but a :class:`TraceLog` is
+        appended to one first.  A log whose message records are all rows
+        gives a graph read from its columns (:class:`_LogGraph`); any other
+        is built record by record, in emission order."""
+        log = records if isinstance(records, TraceLog) else TraceLog(records)
+        graph = _LogGraph.of(log)
+        if graph is None:
+            graph = cls()
+            for time, pid, kind, data in log:
+                graph.add(time, pid, kind, data)
+        return graph
 
     @classmethod
     def from_rows(cls, rows: Iterable[list[Any]]) -> "CausalGraph":
         """Build from ``[time, pid, kind, data]`` rows of a JSONL export."""
-        graph = cls()
-        for time, pid, kind, data in rows:
-            graph.add(time, pid, kind, data)
-        return graph
+        return cls.from_records(TraceLog(rows))
 
     def add(self, time: float, pid: int, kind: str, data: Any) -> None:
         if kind == KINDS.MSG_SEND:
@@ -252,10 +259,190 @@ class CausalGraph:
             for msg_id in sorted(self.delivers)
         ]
 
+    def send_of(self, msg_id: int) -> _Send | None:
+        """The send of message ``msg_id``, if the trace has one."""
+        return self.sends.get(msg_id)
+
+    def flow_rows(self) -> Iterable[tuple[int, str, int, int, float, float]]:
+        """Matched messages as ``(id, kind, src, dst, sent_at,
+        delivered_at)``, in id order."""
+        return [
+            (send.id, send.kind, send.src, deliver.dst, send.time, deliver.time)
+            for send, deliver in self.flows()
+        ]
+
     @property
     def unmatched_sends(self) -> int:
         """Sends that were never delivered (dropped, blocked, or in flight)."""
         return len(self.sends) - len(self.delivers)
+
+    @property
+    def orphan_count(self) -> int:
+        return len(self.orphan_delivers)
+
+
+class _LogGraph(CausalGraph):
+    """The causal graph of a :class:`TraceLog` whose message records are
+    all rows, kept as row numbers into the log's columns.
+
+    Two arrays indexed by message id hold the row of its send and of its
+    matched delivery (-1 for none), so the graph holds no object per
+    message; a send or delivery tuple is built only when a query returns
+    one.  It answers every query as the graph built record by record
+    would.  :attr:`sends`, :attr:`delivers` and :attr:`orphan_delivers` are
+    built afresh on each read (the first two in id order), and message
+    records cannot be added to it.
+    """
+
+    #: Message ids may run this far past the number of rows; a sparser log
+    #: is built record by record instead.
+    SLACK = 1024
+
+    @classmethod
+    def of(cls, log: TraceLog) -> "_LogGraph | None":
+        """The graph of ``log``, or None when it does not fit this form."""
+        if log.loose:
+            return None
+        top = max(log.ids, default=-1)
+        if top >= 2 * len(log.ids) + cls.SLACK:
+            return None
+        return cls(log, top + 1)
+
+    def __init__(self, log: TraceLog, size: int) -> None:
+        self.triggers = []
+        self.nemesis_ops = []
+        # Kept records only add fault records; rows only message edges.
+        for time, pid, kind, data in log.kept:
+            self.add(time, pid, kind, data)
+        self._times, self._pids, self._peers, self._ids = (
+            log.times, log.pids, log.peers, log.ids
+        )  # fmt: skip
+        #: Each row's code, and what each code is.
+        self._codes = array("H", filter(None, log.order))
+        self._rows = log.codes
+        self._send_row = send_row = array("q", [-1]) * size
+        self._deliver_row = deliver_row = array("q", [-1]) * size
+        self._orphan_rows = array("q")
+        is_send = [row is not None and row.kind == KINDS.MSG_SEND for row in log.codes]
+        for index, (code, msg_id) in enumerate(zip(self._codes, self._ids)):
+            if is_send[code]:
+                if msg_id >= 0:
+                    send_row[msg_id] = index
+            elif msg_id >= 0 and send_row[msg_id] >= 0:
+                deliver_row[msg_id] = index
+            else:
+                self._orphan_rows.append(index)
+        self._arrival_rows: dict[int, array] | None = None
+        self._arrival_times = {}
+
+    def add(self, time: float, pid: int, kind: str, data: Any) -> None:
+        if kind in (KINDS.MSG_SEND, KINDS.MSG_DELIVER):
+            raise TypeError("a graph read from a trace log takes no message records")
+        super().add(time, pid, kind, data)
+
+    def _edge(self, edge: type, index: int) -> Any:
+        """Row ``index`` as a :class:`_Send` or :class:`_Deliver`: both are
+        ``(id, time, pid, peer, kind, channel)``."""
+        row = self._rows[self._codes[index]]
+        return _new(edge, (
+            self._ids[index], self._times[index], self._pids[index],
+            self._peers[index], row.msg_kind, row.channel,
+        ))  # fmt: skip
+
+    def _send(self, index: int) -> _Send:
+        return self._edge(_Send, index)
+
+    def _deliver(self, index: int) -> _Deliver:
+        return self._edge(_Deliver, index)
+
+    @property
+    def sends(self) -> dict[int, _Send]:  # type: ignore[override]
+        return {
+            msg_id: self._send(index)
+            for msg_id, index in enumerate(self._send_row) if index >= 0
+        }  # fmt: skip
+
+    @property
+    def delivers(self) -> dict[int, _Deliver]:  # type: ignore[override]
+        return {
+            msg_id: self._deliver(index)
+            for msg_id, index in enumerate(self._deliver_row) if index >= 0
+        }  # fmt: skip
+
+    @property
+    def orphan_delivers(self) -> list[_Deliver]:  # type: ignore[override]
+        return [self._deliver(index) for index in self._orphan_rows]
+
+    def last_arrival_before(self, pid: int, time: float) -> _Deliver | None:
+        if self._arrival_rows is None:
+            # Rows in id order, then a stable sort by time: (time, id) order.
+            by_pid: dict[int, list[int]] = {}
+            pids = self._pids
+            for index in self._deliver_row:
+                if index >= 0:
+                    by_pid.setdefault(pids[index], []).append(index)
+            times = self._times
+            self._arrival_rows = {}
+            for dst, rows in by_pid.items():
+                rows.sort(key=times.__getitem__)
+                self._arrival_rows[dst] = array("q", rows)
+                self._arrival_times[dst] = array("d", map(times.__getitem__, rows))
+        arrival_times = self._arrival_times.get(pid)
+        if not arrival_times:
+            return None
+        index = bisect_right(arrival_times, time)
+        if index == 0:
+            return None
+        return self._deliver(self._arrival_rows[pid][index - 1])
+
+    def send_of(self, msg_id: int) -> _Send | None:
+        if 0 <= msg_id < len(self._send_row):
+            index = self._send_row[msg_id]
+            if index >= 0:
+                return self._send(index)
+        return None
+
+    def flows(self) -> list[tuple[_Send, _Deliver]]:
+        return [
+            (self._send(self._send_row[msg_id]), self._deliver(index))
+            for msg_id, index in enumerate(self._deliver_row) if index >= 0
+        ]  # fmt: skip
+
+    def flow_rows(self) -> "_LogFlows":
+        return _LogFlows(self)
+
+    @property
+    def unmatched_sends(self) -> int:
+        return (
+            len(self._send_row) - self._send_row.count(-1)
+            - (len(self._deliver_row) - self._deliver_row.count(-1))
+        )  # fmt: skip
+
+    @property
+    def orphan_count(self) -> int:
+        return len(self._orphan_rows)
+
+
+class _LogFlows:
+    """:meth:`_LogGraph.flow_rows`: the matched messages, read from the
+    graph's arrays each time it is iterated."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: _LogGraph) -> None:
+        self._graph = graph
+
+    def __iter__(self) -> Iterator[tuple[int, str, int, int, float, float]]:
+        graph = self._graph
+        send_row, codes, rows = graph._send_row, graph._codes, graph._rows
+        times, pids = graph._times, graph._pids
+        for msg_id, index in enumerate(graph._deliver_row):
+            if index >= 0:
+                send = send_row[msg_id]
+                yield (
+                    msg_id, rows[codes[send]].msg_kind, pids[send], pids[index],
+                    times[send], times[index],
+                )  # fmt: skip
 
 
 def critical_path(
@@ -284,9 +471,10 @@ def critical_path(
     last_deliver: _Deliver | None = None
     while len(hops_reversed) < max_hops and cursor_time > propose_at:
         deliver = graph.last_arrival_before(cursor_pid, cursor_time)
-        if deliver is None or deliver is last_deliver:
+        # Equal deliveries are one delivery: a graph keeps one per id.
+        if deliver is None or deliver == last_deliver:
             break
-        send = graph.sends.get(deliver.id)
+        send = graph.send_of(deliver.id)
         if send is None:  # defensive: delivers are only indexed with a send
             break
         hops_reversed.append(
@@ -383,32 +571,23 @@ def annotate_spans(builder: SpanBuilder, graph: CausalGraph) -> SpanBuilder:
     return builder
 
 
-def _ingest(
-    events: Iterable[tuple[float, int, str, Any]],
-) -> tuple[SpanBuilder, CausalGraph]:
-    """Fold one pass over ``(time, pid, kind, data)`` events into both the
-    span builder and the causal graph."""
-    builder = SpanBuilder()
-    graph = CausalGraph()
-    add_span, add_edge = builder.add, graph.add
-    for time, pid, kind, data in events:
-        add_span(time, pid, kind, data)
-        add_edge(time, pid, kind, data)
-    return builder, graph
+def _ingest(log: TraceLog) -> tuple[SpanBuilder, CausalGraph]:
+    """The span builder and the causal graph of one log."""
+    return SpanBuilder().add_records(log), CausalGraph.from_records(log)
 
 
 class _Fold(NamedTuple):
     """What the warehouse entry and the Chrome export read of one trace."""
 
-    #: Length of the :class:`TraceLog` folded (-1 for other iterables): a
-    #: kept fold is stale once the log is longer.
+    #: Length of the :class:`TraceLog` folded: a kept fold is stale once
+    #: the log is longer.
     length: int
     builder: SpanBuilder
     #: :func:`critical_paths`, in span order.
     paths: list[CriticalPath]
-    #: Matched messages as ``(id, kind, src, dst, sent_at, delivered_at)``,
-    #: in id order.
-    flows: list[tuple[int, str, int, int, float, float]]
+    #: :meth:`CausalGraph.flow_rows`: matched messages as ``(id, kind,
+    #: src, dst, sent_at, delivered_at)``, in id order.
+    flows: Iterable[tuple[int, str, int, int, float, float]]
     unmatched_sends: int
     orphan_delivers: int
 
@@ -417,29 +596,25 @@ def _fold(events: Iterable[tuple[float, int, str, Any]]) -> _Fold:
     """Spans, critical paths and message flows of one trace.
 
     The fold of a :class:`TraceLog` is kept on it and reused while the log
-    has the length it was folded at; any other iterable is folded each
-    time.  The causal graph itself is not kept: the flows and two counts
-    are all its readers take from it.
+    has the length it was folded at; any other iterable is appended to a
+    fresh log and folded each time.  Of the causal graph the fold keeps
+    the flows and two counts, all its readers take from it (a graph read
+    from the log's columns stays behind its flows, which it reads lazily).
     """
-    log = events if isinstance(events, TraceLog) else None
-    if log is not None:
-        kept = log.fold
-        if kept is not None and kept.length == len(log):
-            return kept
-    builder, graph = _ingest(events)
+    log = events if isinstance(events, TraceLog) else TraceLog(events)
+    kept = log.fold
+    if kept is not None and kept.length == len(log):
+        return kept
+    builder, graph = _ingest(log)
     fold = _Fold(
-        len(log) if log is not None else -1,
+        len(log),
         builder,
         critical_paths(builder, graph),
-        [
-            (send.id, send.kind, send.src, deliver.dst, send.time, deliver.time)
-            for send, deliver in graph.flows()
-        ],
+        graph.flow_rows(),
         graph.unmatched_sends,
-        len(graph.orphan_delivers),
+        graph.orphan_count,
     )
-    if log is not None:
-        log.fold = fold
+    log.fold = fold
     return fold
 
 

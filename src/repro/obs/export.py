@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
 from repro.obs.causal import _fold
-from repro.sim.trace import KINDS, TraceRecord, describe_value, row_data
+from repro.sim.trace import KINDS, TraceLog, TraceRecord, describe_value, row_data
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -106,17 +106,18 @@ def export_chrome(
     by hand, and each event becomes its final JSON text as it is generated;
     the texts are written comma-joined, :data:`_CHUNK` at a time, so neither
     the event list nor the output string is ever held whole.  The bulk of an
-    observed trace — msg-send and msg-deliver instants and the flow arrow
-    pair of each delivered message — is written from fixed templates whose
-    keys are already in sorted order, whenever its values have exactly the
-    types the template writes as ``json`` would (strings, plain ints, finite
-    floats); every other event goes through the C encoder one at a time.
-    Spans, critical paths and flows come from one shared fold of the
-    records, which :func:`~repro.obs.warehouse.build_entry` may already have
-    kept on the tracer's :class:`~repro.sim.trace.TraceLog`.
+    observed trace — the instants of the :class:`~repro.sim.trace.TraceLog`'s
+    message rows, read from its columns, and the flow arrow pair of each
+    delivered message — is written from fixed templates whose keys are
+    already in sorted order, whenever its values have exactly the types the
+    template writes as ``json`` would (strings, plain ints, finite floats);
+    every other event goes through the C encoder one at a time.  Spans,
+    critical paths and flows come from one shared fold of the log, which
+    :func:`~repro.obs.warehouse.build_entry` may already have kept on it.
+    Records that are not a log are appended to a fresh one first.
     """
-    if not isinstance(records, list):
-        records = list(records)
+    if not isinstance(records, TraceLog):
+        records = TraceLog(records)
     texts = _chrome_texts(records)
     out.write('{"displayTimeUnit":"ms","traceEvents":[')
     separator = ""
@@ -133,19 +134,16 @@ _quote = encode_basestring_ascii
 _float = float.__repr__  # what ``json`` writes for a finite float
 _INF = float("inf")
 
-#: Instant templates of the network's msg-send / msg-deliver records, keyed
-#: by kind: the data key naming the peer, and the event with its keys (and
-#: the data's) in sorted order, filled in that order.
+#: Instant templates of message rows, keyed by kind: the event with its
+#: keys (and the data's) in sorted order, filled in that order.
 _MSG_INSTANTS = {
     KINDS.MSG_SEND: (
-        "dst",
         '{"args":{"data":{"channel":%s,"dst":%d,"id":%d,"kind":%s}},'
-        '"name":"msg-send","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}',
+        '"name":"msg-send","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}'
     ),
     KINDS.MSG_DELIVER: (
-        "src",
         '{"args":{"data":{"channel":%s,"id":%d,"kind":%s,"src":%d}},'
-        '"name":"msg-deliver","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}',
+        '"name":"msg-deliver","ph":"i","pid":0,"s":"t","tid":%d,"ts":%s}'
     ),
 }
 #: Flow arrow templates, filled with the message id, the quoted message
@@ -154,7 +152,7 @@ _FLOW_START = '{"cat":"msg","id":%d,"name":%s,"ph":"s","pid":0,"tid":%d,"ts":%s}
 _FLOW_END = '{"bp":"e","cat":"msg","id":%d,"name":%s,"ph":"f","pid":0,"tid":%d,"ts":%s}'
 
 
-def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
+def _chrome_texts(log: TraceLog) -> Iterator[str]:
     """The JSON text of each trace event of :func:`export_chrome`, in output
     order."""
     # An event is built here around row-form data, which holds no cycle, so
@@ -162,7 +160,7 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
     encode = json.JSONEncoder(
         sort_keys=True, separators=(",", ":"), check_circular=False
     ).encode
-    for pid in sorted({r.pid for r in records}):
+    for pid in sorted({r.pid for r in log.kept}.union(log.pids)):
         yield encode(
             {
                 "args": {"name": f"p{pid}" if pid >= 0 else "system"},
@@ -172,35 +170,9 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
                 "tid": pid,
             }
         )
-    for time, pid, kind, data in records:
-        ts = time * _MICROS
-        template = _MSG_INSTANTS.get(kind)
-        if (
-            template is not None
-            and type(data) is dict
-            and len(data) == 4
-            and type(pid) is int
-            and type(ts) is float
-            and -_INF < ts < _INF
-        ):
-            peer_key, text = template
-            channel = data.get("channel")
-            peer = data.get(peer_key)
-            msg_id = data.get("id")
-            name = data.get("kind")
-            if (
-                type(channel) is str
-                and type(peer) is int
-                and type(msg_id) is int
-                and type(name) is str
-            ):
-                channel, name = _quote(channel), _quote(name)
-                if peer_key == "dst":
-                    yield text % (channel, peer, msg_id, name, pid, _float(ts))
-                else:
-                    yield text % (channel, msg_id, name, peer, pid, _float(ts))
-                continue
-        yield encode(
+
+    def instant(time: Any, pid: Any, kind: Any, data: Any) -> str:
+        return encode(
             {
                 "args": {"data": row_data(kind, data)},
                 "name": kind,
@@ -208,10 +180,35 @@ def _chrome_texts(records: list[TraceRecord]) -> Iterator[str]:
                 "pid": 0,
                 "s": "t",
                 "tid": pid,
-                "ts": ts,
+                "ts": time * _MICROS,
             }
         )
-    fold = _fold(records)
+
+    # Per row code: its template and the quoted message kind and channel.
+    filled: list[tuple[str, bool, str, str] | None] = [None]
+    for row in log.codes[1:]:
+        filled.append(
+            (_MSG_INSTANTS[row.kind], row.kind == KINDS.MSG_SEND,
+             _quote(row.msg_kind), _quote(row.channel))
+        )  # fmt: skip
+    kept = iter(log.kept)
+    rows = zip(log.times, log.pids, log.peers, log.ids)
+    for code in log.order:
+        if not code:
+            yield instant(*next(kept))
+            continue
+        time, pid, peer, msg_id = next(rows)
+        ts = time * _MICROS
+        if -_INF < ts < _INF:
+            text, send, name, channel = filled[code]
+            if send:
+                yield text % (channel, peer, msg_id, name, pid, _float(ts))
+            else:
+                yield text % (channel, msg_id, name, peer, pid, _float(ts))
+        else:
+            row = log.codes[code]
+            yield instant(time, pid, row.kind, row.data(peer, msg_id))
+    fold = _fold(log)
     for span in fold.builder.consensus_spans():
         if span.propose_at is None or span.decided_at is None:
             continue

@@ -11,7 +11,6 @@ onto the error object (``err.flight_record``) before re-raising.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -48,7 +47,7 @@ class FlightRecorder:
     def dump(self) -> dict[int, list[list[Any]]]:
         """Per-pid recent history as JSON-safe ``[time, pid, kind, data]`` rows."""
         tails: dict[int, deque[TraceRecord]] = {}
-        for r in islice(self._tracer.records, self._start, self._stop):
+        for r in self._tracer.records[self._start:self._stop]:
             tail = tails.get(r.pid)
             if tail is None:
                 tails[r.pid] = tail = deque(maxlen=self.capacity)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.metrics import _percentile
-from repro.sim.trace import KINDS, TraceRecord
+from repro.sim.trace import KINDS, TraceLog, TraceRecord
 
 __all__ = ["BroadcastSpan", "ConsensusSpan", "SpanBuilder", "TxnSpan"]
 
@@ -232,14 +232,17 @@ class SpanBuilder:
     # ------------------------------------------------------------- ingestion
 
     def add_records(self, records: Iterable[TraceRecord]) -> "SpanBuilder":
-        """Ingest live records, which have the shape of rows."""
-        return self.add_rows(records)
+        """Ingest records; any iterable but a :class:`TraceLog` is appended
+        to one first.  Only the log's kept records are read: no span is
+        built from a message row."""
+        log = records if isinstance(records, TraceLog) else TraceLog(records)
+        for time, pid, kind, data in log.kept:
+            self.add(time, pid, kind, data)
+        return self
 
     def add_rows(self, rows: Iterable[list[Any]]) -> "SpanBuilder":
         """Ingest ``[time, pid, kind, data]`` rows from a JSONL export."""
-        for time, pid, kind, data in rows:
-            self.add(time, pid, kind, data)
-        return self
+        return self.add_records(TraceLog(rows))
 
     def _consensus_span(self, pid: int, instance: Any) -> ConsensusSpan:
         key = (pid, _canonical_id(instance))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.context import RunContext
-from repro.engine.spec import RsmRunSpec
+from repro.engine.spec import PARALLEL_OBS_ERROR, RsmRunSpec
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.cluster import Fabric
 from repro.nemesis.spec import (
@@ -232,10 +232,8 @@ def run_parallel_sharded_rsm(
     if ctx.obs is not None and (
         ctx.obs.registry is not None or ctx.obs.recorder is not None
     ):
-        raise ConfigurationError(
-            "parallel execution supports obs detail tracing only; disable "
-            "obs_metrics_interval / obs_flight_recorder or run serial"
-        )
+        # A caller-built runtime; a spec with these knobs never constructs.
+        raise ConfigurationError(PARALLEL_OBS_ERROR)
     plan = shard_partition_plan(spec)
     workers = min(spec.workers or 1, plan.partitions)
     if workers_cap is not None:

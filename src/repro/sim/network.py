@@ -805,6 +805,9 @@ class Network:
             delays = sample_many(rng, n) if sample_many else [sample(rng) for _ in range(n)]
         # Bare: no per-message admission work (obs record, partition, filter).
         bare = tracer is None and not admission
+        if tracer is not None:
+            emit_send = tracer.sends.emit
+            emit_deliver = tracer.delivers.emit
 
         # The sender-side busy time (uplink or shared medium) chains through
         # the cohort in a local and is written back once; downlinks are per
@@ -838,10 +841,7 @@ class Network:
             msg_id += 1
             if not bare:
                 if tracer is not None:
-                    tracer.emit(
-                        now, src, KINDS.MSG_SEND,
-                        {"dst": dst, "kind": kind, "channel": channel, "id": msg_id},
-                    )
+                    emit_send(now, src, dst, kind, channel, msg_id)
                 if admission:
                     sim._seq = seq  # a duplicating filter schedules its resend
                     envelope, extra = self._admit(src, dst, payload, channel, now, msg_id)
@@ -892,7 +892,7 @@ class Network:
                     args = bare_args
                 else:
                     fn = self._deliver_observed
-                    args = (tracer, deliver, src, dst, payload, kind, channel, msg_id)
+                    args = (emit_deliver, deliver, src, dst, payload, kind, channel, msg_id)
             else:
                 fn = self._deliver_to
                 node = self._nodes[dst]
@@ -945,16 +945,14 @@ class Network:
         self.send_batch(src, self._pids_sorted, payload, channel)
 
     def _deliver_observed(
-        self, tracer: Any, deliver: Any, src: int, dst: int, payload: Any,
+        self, emit: Any, deliver: Any, src: int, dst: int, payload: Any,
         kind: str, channel: str, msg_id: int,
     ) -> None:
         """Observed arrival at a ``deliver_from`` receiver: the msg-deliver
-        record, with the kind counted at send time, then the envelope-free
+        row (``emit`` is the tracer's :attr:`~repro.sim.trace.Tracer.delivers`
+        writer), with the kind counted at send time, then the envelope-free
         delivery (no :class:`Envelope` is built)."""
-        tracer.emit(
-            self.sim._now, dst, KINDS.MSG_DELIVER,
-            {"src": src, "kind": kind, "channel": channel, "id": msg_id},
-        )
+        emit(self.sim._now, dst, src, kind, channel, msg_id)
         deliver(src, payload)
 
     def _deliver_to(self, node: Any, envelope: Envelope) -> None:
@@ -964,15 +962,9 @@ class Network:
         if not hasattr(node, "deliver_from"):
             self.stats.delivered += 1
         if self.obs_tracer is not None:
-            self.obs_tracer.emit(
-                self.sim._now,
-                envelope.dst,
-                KINDS.MSG_DELIVER,
-                {
-                    "src": envelope.src,
-                    "kind": self.stats._kind_of(envelope.payload),
-                    "channel": envelope.channel,
-                    "id": envelope.msg_id,
-                },
+            self.obs_tracer.delivers.emit(
+                self.sim._now, envelope.dst, envelope.src,
+                self.stats._kind_of(envelope.payload), envelope.channel,
+                envelope.msg_id,
             )
         node.deliver(envelope)

@@ -243,21 +243,42 @@ class TestSpecSurface:
         assert result.nodes
         assert result.committed > 0
 
-    def test_obs_metrics_rejected(self):
-        spec = RsmRunSpec(
+    @staticmethod
+    def _two_group_spec(**obs):
+        return RsmRunSpec(
             protocol="multipaxos",
             rate=20.0,
             duration=1.0,
             clients=2,
+            n=3,
             topology=TopologySpec(groups=2),
             parallel=True,
             obs=True,
-            obs_metrics_interval=0.1,
+            **obs,
         )
+
+    def test_obs_metrics_rejected(self):
+        # A spec that constructs is a spec that runs: the sampler and the
+        # recorder read one kernel's records, so the spec itself refuses.
+        for knob in ({"obs_metrics_interval": 0.1}, {"obs_flight_recorder": 8}):
+            with pytest.raises(ConfigurationError, match="obs detail"):
+                self._two_group_spec(**knob)
+
+    def test_obs_knobs_on_a_single_group_run_serially(self):
+        spec = RsmRunSpec(
+            protocol="multipaxos", rate=20.0, duration=0.5, clients=2, n=3,
+            parallel=True, obs=True, obs_metrics_interval=0.1,
+        )  # fmt: skip
         from repro.engine.runner import execute_run
 
+        assert execute_run(spec).obs is not None
+
+    def test_a_caller_built_runtime_with_metrics_is_rejected(self):
+        from repro.obs import ObsConfig, ObsRuntime
+
+        runtime = ObsRuntime(ObsConfig(detail=True, metrics_interval=0.1))
         with pytest.raises(ConfigurationError, match="obs detail"):
-            execute_run(spec)
+            run_rsm(self._two_group_spec(), ctx=RunContext(obs=runtime))
 
 
 # --------------------------------------------------------------------------

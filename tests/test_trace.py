@@ -1,7 +1,11 @@
 """Unit tests for the structured tracer."""
 
 import copy
+import json
 import pickle
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.sim.trace import KINDS, CountingTracer, TraceLog, TraceRecord, Tracer
 
@@ -122,6 +126,166 @@ class TestTraceLog:
 
     def test_slices_are_plain_lists(self):
         assert type(self._log()[:1]) is list
+
+
+class Micros(float):
+    """A trace time of a float subclass: equal to its float, not one."""
+
+
+PEER_KEYS = {KINDS.MSG_SEND: "dst", KINDS.MSG_DELIVER: "src"}
+times = st.floats(allow_nan=False, width=64)
+ints = st.integers(-(2**40), 2**40) | st.integers(-3, 9)
+
+
+@st.composite
+def message_rows(draw):
+    """A conforming msg-send / msg-deliver record, keys in any order, and
+    whether the network's row writer may emit it."""
+    kind = draw(st.sampled_from(sorted(PEER_KEYS)))
+    values = {
+        PEER_KEYS[kind]: draw(ints),
+        "kind": draw(st.sampled_from(["Vote", "Ack", "Propose"])),
+        "channel": draw(st.sampled_from(["reliable", "datagram"])),
+        "id": draw(ints),
+    }
+    keys = draw(st.permutations(list(values)))
+    record = TraceRecord(draw(times), draw(ints), kind, {k: values[k] for k in keys})
+    return record, keys == list(values) and draw(st.booleans())
+
+
+@st.composite
+def malformed_rows(draw):
+    """A msg-send / msg-deliver record that is not a message row."""
+    record, _ = draw(message_rows())
+    data = dict(record.data)
+    flaw = draw(st.sampled_from(
+        ["id", "peer", "missing", "extra", "micros", "int-time", "not-a-dict", "pid"]
+    ))  # fmt: skip
+    time, pid = record.time, record.pid
+    if flaw == "id":
+        data["id"] = draw(st.sampled_from([7.0, "7", None, True]))
+    elif flaw == "peer":
+        data[PEER_KEYS[record.kind]] = draw(st.sampled_from([1.0, False, None]))
+    elif flaw == "missing":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif flaw == "extra":
+        data["extra"] = 1
+    elif flaw == "micros":
+        time = Micros(time)
+    elif flaw == "int-time":
+        time = draw(st.integers(0, 10))
+    elif flaw == "not-a-dict":
+        data = draw(st.sampled_from([None, [0, "Vote", "reliable", 7]]))
+    else:
+        pid = draw(st.sampled_from([True, 1.0]))
+    return TraceRecord(time, pid, record.kind, data), False
+
+
+other_rows = st.builds(
+    lambda time, pid, kind, data: (TraceRecord(time, pid, kind, data), False),
+    times,
+    ints,
+    st.sampled_from([KINDS.DECIDE, KINDS.A_DELIVER, "evt"]),
+    st.none() | ints | st.dictionaries(st.sampled_from("abc"), ints, max_size=3),
+)
+
+interleavings = st.lists(message_rows() | malformed_rows() | other_rows, max_size=30)
+
+
+def recorded(entries):
+    """A tracer fed ``entries`` (rows through the writers where allowed)."""
+    tracer = Tracer()
+    for record, through_writer in entries:
+        if through_writer:
+            writer = tracer.sends if record.kind == KINDS.MSG_SEND else tracer.delivers
+            data = record.data
+            writer.emit(
+                record.time, record.pid, data[PEER_KEYS[record.kind]],
+                data["kind"], data["channel"], data["id"],
+            )  # fmt: skip
+        else:
+            tracer.emit(*record)
+    return tracer
+
+
+def jsonl_row(record):
+    data = record.data
+    if isinstance(data, dict):
+        data = {key: data[key] for key in sorted(data)}
+    return [record.time, record.pid, record.kind, data]
+
+
+class TestTraceLogReadsBackAsAList:
+    """A log reads back as the plain list of the records emitted into it,
+    whichever of them it keeps as columns."""
+
+    @seed(42)
+    @settings(max_examples=150, deadline=None)
+    @given(interleavings, st.data())
+    def test_every_read_equals_the_reference(self, entries, data):
+        reference = [record for record, _ in entries]
+        tracer = recorded(entries)
+        log = tracer.records
+        assert len(log) == len(reference)
+        assert list(log) == reference and log == reference and reference == log
+        # Equal keys in the emitted order, the same float and int values.
+        assert repr(log) == repr(reference)
+        assert all(type(r) is TraceRecord for r in log)
+        for i in range(-len(reference), len(reference)):
+            assert log[i] == reference[i]
+        for _ in range(3):
+            bounds = slice(
+                data.draw(st.none() | st.integers(-35, 35)),
+                data.draw(st.none() | st.integers(-35, 35)),
+                data.draw(st.none() | st.sampled_from([1, 2, -1, 3])),
+            )
+            part = log[bounds]
+            assert type(part) is list and part == reference[bounds]
+        for twin in (pickle.loads(pickle.dumps(log)), copy.copy(log), copy.deepcopy(log)):
+            assert type(twin) is TraceLog and twin == log
+            assert repr(twin) == repr(log)
+        rows = [jsonl_row(record) for record in reference]
+        assert repr(TraceLog(rows)) == repr([TraceRecord(*row) for row in rows])
+
+    @seed(43)
+    @settings(max_examples=100, deadline=None)
+    @given(interleavings)
+    def test_queries_answer_as_over_the_reference(self, entries):
+        reference = [record for record, _ in entries]
+        tracer = recorded(entries)
+        expected: dict = {}
+        for record in reference:
+            expected[record.kind] = expected.get(record.kind, 0) + 1
+        assert list(tracer.counts().items()) == list(expected.items())
+        assert tracer.kinds() == set(expected)
+        for kind in sorted(expected) + ["absent"]:
+            of_kind = [r for r in reference if r.kind == kind]
+            assert tracer.of_kind(kind) == of_kind
+            assert tracer.first(kind) == (of_kind[0] if of_kind else None)
+            by_pid: dict = {}
+            for r in of_kind:
+                by_pid.setdefault(r.pid, []).append(r)
+            assert list(tracer.by_pid(kind).items()) == list(by_pid.items())
+
+    def test_message_rows_are_columns_and_the_rest_kept(self):
+        tracer = Tracer()
+        tracer.sends.emit(1.0, 0, 1, "Vote", "reliable", 0)
+        tracer.emit(1.0, 0, KINDS.MSG_SEND, {"dst": 1, "kind": "Vote", "channel": "reliable", "id": 1.0})
+        tracer.emit(float("nan"), 0, KINDS.MSG_SEND, {"dst": 1, "kind": "Vote", "channel": "reliable", "id": 2})
+        tracer.emit(2.0, 1, KINDS.DECIDE, {"value": "v"})
+        log = tracer.records
+        assert list(log.order) == [1, 0, 0, 0] and list(log.ids) == [0]
+        assert [r.kind for r in log.kept] == [KINDS.MSG_SEND, KINDS.MSG_SEND, KINDS.DECIDE]
+        assert log.loose == 2
+        assert log[0].data is not log[0].data  # a fresh dict per read
+
+    def test_jsonl_round_trip_of_an_observed_log(self):
+        tracer = Tracer()
+        tracer.sends.emit(0.5, 2, 3, "Vote", "reliable", 4)
+        tracer.delivers.emit(0.75, 3, 2, "Vote", "reliable", 4)
+        rows = json.loads(json.dumps([list(r) for r in tracer.records], sort_keys=True))
+        assert TraceLog(rows) == tracer.records
+        assert len(TraceLog(rows).kept) == 0
 
 
 class TestCountingTracer:
