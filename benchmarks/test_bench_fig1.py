@@ -18,8 +18,6 @@ from repro.core.lowerbound import (
 
 from conftest import once
 
-FAST_HEARS = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-
 
 def test_fig1_theorem1_certificate(benchmark, report):
     certificate = once(benchmark, prove_theorem1)
@@ -37,7 +35,7 @@ def test_fig1_theorem1_certificate(benchmark, report):
 def test_fig1_rule_boundary(benchmark, report):
     def grade_all():
         return [
-            check_rule(rule, restrict_hears=FAST_HEARS)
+            check_rule(rule)
             for rule in (NaiveCombinedRule(), LConsensusRule(), BrasileiroRule())
         ]
 

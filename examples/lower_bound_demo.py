@@ -24,14 +24,12 @@ from repro.core.lowerbound import (
     prove_theorem1,
 )
 
-FAST_HEARS = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-
 
 def main() -> None:
     print("=" * 72)
     print("Part 1 — the impossibility certificate (Figure 1, rediscovered)")
     print("=" * 72)
-    certificate = prove_theorem1(restrict_hears=FAST_HEARS)
+    certificate = prove_theorem1()
     print(certificate.explain())
 
     print()
@@ -39,7 +37,7 @@ def main() -> None:
     print("Part 2 — the boundary: what concrete decision rules achieve")
     print("=" * 72)
     for rule in (NaiveCombinedRule(), LConsensusRule(), BrasileiroRule()):
-        report = check_rule(rule, restrict_hears=FAST_HEARS)
+        report = check_rule(rule)
         print(f"\n{report.summary()}")
         for violation in report.safety_violations[:1]:
             print(f"  witness: {violation}")

@@ -533,12 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="print the analytical Table 1")
     p_t1.add_argument("--n", type=int, default=4)
 
-    p_thm = sub.add_parser("theorem1", help="derive the Theorem-1 certificate")
-    p_thm.add_argument(
-        "--full",
-        action="store_true",
-        help="search the unrestricted hear-set space (slower)",
-    )
+    sub.add_parser("theorem1", help="derive the Theorem-1 certificate")
 
     return parser
 
@@ -1238,9 +1233,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_theorem1(args: argparse.Namespace) -> int:
     from repro.core.lowerbound import prove_theorem1
 
-    restrict = None if args.full else [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    certificate = prove_theorem1(restrict_hears=restrict)
-    print(certificate.explain())
+    print(prove_theorem1().explain())
     return 0
 
 

@@ -8,8 +8,8 @@ from repro.core.lowerbound.model import (
     RunSpec,
     format_state1,
     hear_options,
-    iter_runs,
     one_step_value,
+    run_space,
     state1,
     state2,
 )
@@ -33,8 +33,8 @@ __all__ = [
     "RunSpec",
     "format_state1",
     "hear_options",
-    "iter_runs",
     "one_step_value",
+    "run_space",
     "state1",
     "state2",
     "RuleReport",

@@ -17,22 +17,22 @@ expected one.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 from repro.core.lowerbound.model import (
-    F,
-    N,
     PIDS,
     RunSpec,
     format_state1,
-    hear_options,
-    state1,
-    state2,
+    one_step_value,
+    run_space,
 )
 from repro.core.lowerbound.rules import DecisionRule
 
 __all__ = ["RuleReport", "check_rule"]
+
+WITNESSES = 5  # witnesses kept per failed property
+WAITS = object()  # the process would not end the round in that state
 
 
 @dataclass
@@ -77,99 +77,79 @@ def _one_step_states() -> list[tuple]:
     return states
 
 
-def check_rule(
-    rule: DecisionRule,
-    max_violations: int = 5,
-    restrict_hears: list[tuple[int, ...]] | None = None,
-) -> RuleReport:
-    """Sweep the stable run space and grade ``rule`` on the three properties."""
+def check_rule(rule: DecisionRule) -> RuleReport:
+    """Sweep the stable run space and grade ``rule`` on the three properties.
+
+    Every rule method runs at most once per distinct ``(pid, state)``: a
+    process's behaviour by round 2 is a function of its state alone.
+    """
     report = RuleReport(rule=rule.name)
+
+    @functools.cache
+    def round1(pid: int, s1: tuple):
+        """The round-1 decision (or None), or WAITS."""
+        return rule.decide1(pid, s1) if rule.acceptable1(pid, s1) else WAITS
+
+    @functools.cache
+    def round2(pid: int, s2: tuple):
+        """The round-2 decision (or None) of a process undecided in round 1,
+        or WAITS."""
+        return rule.decide2(pid, s2) if rule.acceptable2(pid, s2) else WAITS
 
     # --- one-step obligations are state-level; check them directly.
     for s1 in _one_step_states():
-        values = {v for v in s1 if v is not None}
-        v = values.pop()
+        v = one_step_value(s1)
         pid = next(q for q in PIDS if s1[q - 1] is not None)
-        if not rule.acceptable1(pid, s1):
+        decided = round1(pid, s1)
+        if decided is WAITS:
             report.one_step_failures.append(
                 f"p{pid} keeps waiting in state {format_state1(s1)} "
                 f"instead of deciding {v} in one step"
             )
-        else:
-            decided = rule.decide1(pid, s1)
-            if decided != v:
-                report.one_step_failures.append(
-                    f"p{pid} in state {format_state1(s1)} decides {decided!r}, "
-                    f"one-step requires {v}"
+        elif decided != v:
+            report.one_step_failures.append(
+                f"p{pid} in state {format_state1(s1)} decides {decided!r}, "
+                f"one-step requires {v}"
+            )
+
+    # --- zero-degradation and safety need the run sweep.  A run is
+    # realizable for this rule only if every process is willing to end its
+    # rounds on the chosen hear-sets (a process that already decided in
+    # round 1 no longer waits).
+    for initial, hears1, hears2, states1, states2 in run_space():
+        decisions: dict[int, int] = {}
+        undecided: list[int] = []
+        for pid, s1, s2 in zip(PIDS, states1, states2):
+            decided = round1(pid, s1)
+            if decided is None:
+                decided = round2(pid, s2)
+            if decided is WAITS:
+                break
+            if decided is None:
+                undecided.append(pid)
+            else:
+                decisions[pid] = decided
+        else:  # every process ends both rounds: the run is realizable
+            report.runs_checked += 1
+            if undecided and len(report.zero_degradation_failures) < WITNESSES:
+                report.zero_degradation_failures.append(
+                    f"{_describe(initial, hears1, hears2)}: p{undecided} undecided "
+                    f"after round 2 of a stable run"
                 )
-
-    # --- zero-degradation and safety need the run sweep.
-    per_pid = []
-    for pid in PIDS:
-        options = hear_options(pid)
-        if restrict_hears is not None:
-            options = [o for o in options if o in restrict_hears] or options
-        per_pid.append(options)
-
-    for initial in itertools.product((0, 1), repeat=N):
-        for hears1 in itertools.product(*per_pid):
-            for hears2 in itertools.product(*per_pid):
-                spec = RunSpec(tuple(initial), hears1, hears2)
-                states1 = {pid: state1(spec, pid) for pid in PIDS}
-                # The run is realizable for this rule only if every process
-                # is willing to end its rounds on the chosen hear-sets (a
-                # process that already decided in round 1 no longer waits).
-                realizable = True
-                for pid in PIDS:
-                    decided_r1 = (
-                        rule.acceptable1(pid, states1[pid])
-                        and rule.decide1(pid, states1[pid]) is not None
-                    )
-                    if not rule.acceptable1(pid, states1[pid]):
-                        realizable = False
-                        break
-                    if not decided_r1 and not rule.acceptable2(pid, state2(spec, pid)):
-                        realizable = False
-                        break
-                if not realizable:
-                    continue
-                report.runs_checked += 1
-
-                decisions: dict[int, int] = {}
-                undecided: list[int] = []
-                for pid in PIDS:
-                    d = rule.decide1(pid, states1[pid])
-                    if d is None:
-                        d = rule.decide2(pid, state2(spec, pid))
-                    if d is None:
-                        undecided.append(pid)
-                    else:
-                        decisions[pid] = d
-
-                if undecided and len(report.zero_degradation_failures) < max_violations:
-                    report.zero_degradation_failures.append(
-                        f"{_describe(spec)}: p{undecided} undecided after round 2 "
-                        f"of a stable run"
-                    )
-                distinct = set(decisions.values())
-                if len(distinct) > 1 and len(report.safety_violations) < max_violations:
-                    report.safety_violations.append(
-                        f"{_describe(spec)}: agreement violated — decisions {decisions}"
-                    )
-                bad = distinct - set(initial)
-                if bad and len(report.safety_violations) < max_violations:
-                    report.safety_violations.append(
-                        f"{_describe(spec)}: validity violated — decided {bad}, "
-                        f"proposed {set(initial)}"
-                    )
+            distinct = set(decisions.values())
+            if len(distinct) > 1 and len(report.safety_violations) < WITNESSES:
+                report.safety_violations.append(
+                    f"{_describe(initial, hears1, hears2)}: agreement violated — "
+                    f"decisions {decisions}"
+                )
+            bad = distinct - set(initial)
+            if bad and len(report.safety_violations) < WITNESSES:
+                report.safety_violations.append(
+                    f"{_describe(initial, hears1, hears2)}: validity violated — "
+                    f"decided {bad}, proposed {set(initial)}"
+                )
     return report
 
 
-def _describe(spec: RunSpec) -> str:
-    initial = "".join(str(v) for v in spec.initial)
-    hears = ";".join(
-        f"p{pid}<{''.join(map(str, spec.hears1[pid - 1]))}|"
-        f"{''.join(map(str, spec.hears2[pid - 1]))}>"
-        for pid in PIDS
-    )
-    return f"run(init={initial} {hears})"
+def _describe(initial: tuple, hears1: tuple, hears2: tuple) -> str:
+    return f"run({RunSpec(initial, hears1, hears2).describe()})"
