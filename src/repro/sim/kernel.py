@@ -52,7 +52,7 @@ import zlib
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 
@@ -585,17 +585,3 @@ class Simulator:
         under the serial loop — obs metric samples depend on this.
         """
         return len(self._queue) + self._drain_remaining - self._cancelled_queued
-
-    def drain_iter(self, until: float | None = None) -> Iterator[float]:
-        """Yield the virtual time after each executed event (test helper)."""
-        queue = self._queue
-        while queue:
-            time, _seq, _fn, _args, head = queue[0]
-            if head is not None and head.cancelled:
-                heappop(queue)
-                self._cancelled_queued -= 1
-                continue
-            if until is not None and time > until:
-                return
-            self.step()
-            yield self._now

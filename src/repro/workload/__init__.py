@@ -5,14 +5,13 @@ from repro.workload.experiment import (
     SweepPoint,
     latency_vs_throughput,
 )
-from repro.workload.generator import burst_schedule, poisson_schedule, uniform_schedule
+from repro.workload.generator import poisson_schedule, uniform_schedule
 from repro.workload.metrics import LatencySummary, summarize
 
 __all__ = [
     "PAPER_THROUGHPUTS",
     "SweepPoint",
     "latency_vs_throughput",
-    "burst_schedule",
     "poisson_schedule",
     "uniform_schedule",
     "LatencySummary",

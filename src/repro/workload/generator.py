@@ -16,7 +16,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ConfigurationError
 from repro.sim.kernel import derive_seed
 
-__all__ = ["poisson_schedule", "uniform_schedule", "burst_schedule"]
+__all__ = ["poisson_schedule", "uniform_schedule"]
 
 Schedule = Mapping[int, Sequence[tuple[float, Any]]]
 
@@ -88,29 +88,3 @@ def uniform_schedule(
         t += interval
     return schedules
 
-
-def burst_schedule(
-    n: int,
-    burst_size: int,
-    spacing: float,
-    bursts: int,
-    start: float = 0.0,
-    payload: Callable[[int, int], Any] = _default_payload,
-) -> dict[int, list[tuple[float, Any]]]:
-    """Adversarial collision workload: all ``n`` senders fire simultaneously.
-
-    Every burst makes every process a-broadcast ``burst_size`` messages at
-    the same instant — the worst case for spontaneous order, used by the
-    one-step-rate ablation (bench A1).
-    """
-    if burst_size < 1 or bursts < 1 or spacing <= 0:
-        raise ConfigurationError("burst parameters must be positive")
-    schedules: dict[int, list[tuple[float, Any]]] = {pid: [] for pid in range(n)}
-    counters = {pid: 0 for pid in range(n)}
-    for b in range(bursts):
-        at = start + b * spacing
-        for pid in range(n):
-            for _ in range(burst_size):
-                counters[pid] += 1
-                schedules[pid].append((at, payload(pid, counters[pid])))
-    return schedules

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.harness import run_consensus
 from repro.harness.abcast_runner import run_abcast
 from repro.harness.factories import cabcast_p, p_consensus
-from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantDelay
 from repro.sim.node import Cluster
 from repro.sim.process import Process
@@ -50,12 +49,6 @@ class TestHarnessValidation:
 
 
 class TestKernelHelpers:
-    def test_drain_iter_yields_event_times(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda: None)
-        assert list(sim.drain_iter(until=2.5)) == [1.0, 2.0]
-
     def test_cluster_run_with_max_events(self):
         class Chatty(Process):
             def on_start(self):

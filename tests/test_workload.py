@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.generator import burst_schedule, poisson_schedule, uniform_schedule
+from repro.workload.generator import poisson_schedule, uniform_schedule
 from repro.workload.metrics import LatencySummary, _percentile, summarize
 
 
@@ -62,18 +62,6 @@ class TestUniformSchedule:
         schedules = uniform_schedule(3, rate=30, duration=1.0)
         counts = {pid: len(s) for pid, s in schedules.items()}
         assert max(counts.values()) - min(counts.values()) <= 1
-
-
-class TestBurstSchedule:
-    def test_all_senders_fire_simultaneously(self):
-        schedules = burst_schedule(4, burst_size=2, spacing=0.5, bursts=3)
-        for pid, sends in schedules.items():
-            times = [t for t, _ in sends]
-            assert times == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            burst_schedule(4, 0, 0.5, 1)
 
 
 class TestSummarize:
