@@ -132,7 +132,6 @@ def run_abcast(
     seed: int = 0,
     delay=None,
     datagram_delay=None,
-    datagram_loss: float = 0.0,
     service_time: float = 0.0,
     crash_at: Mapping[int, float] | None = None,
     initially_crashed: tuple[int, ...] = (),
@@ -143,7 +142,6 @@ def run_abcast(
     use_oracle_fd: bool = True,
     max_events: int | None = None,
     capacity=None,
-    batch: bool = True,
     nemesis=None,
     tracer=None,
     obs=None,
@@ -174,10 +172,10 @@ def run_abcast(
     elif n is None or schedules is None:
         raise ConfigurationError("run_abcast needs n and schedules (or a RunSpec)")
     else:
+        batch = True
         cluster = ClusterSpec(
             delay=delay,
             datagram_delay=datagram_delay,
-            datagram_loss=datagram_loss,
             capacity=capacity,
             service_time=service_time,
             detection_delay=detection_delay,

@@ -129,7 +129,6 @@ def run_consensus(
     horizon: float = 60.0,
     check: bool = True,
     require_all_alive_decide: bool = True,
-    service_time: float = 0.0,
     batch: bool = True,
     nemesis=None,
     tracer=None,
@@ -163,21 +162,24 @@ def run_consensus(
         seed, horizon, check, batch = spec.seed, spec.horizon, spec.check, spec.batch
         crash_at, propose_at = spec.crash_at, spec.propose_at
         require_all_alive_decide = spec.require_all_alive_decide
-        nemesis, cluster = spec.nemesis, spec.cluster
-        delay, service_time = cluster.delay, cluster.service_time
-        detection_delay = cluster.detection_delay
-        initially_crashed = cluster.initially_crashed
+        nemesis = spec.nemesis
+        cluster = ClusterSpec(
+            delay=spec.cluster.delay,
+            service_time=spec.cluster.service_time,
+            detection_delay=spec.cluster.detection_delay,
+            initially_crashed=spec.cluster.initially_crashed,
+        )
     elif proposals is None:
         raise ConfigurationError("run_consensus needs proposals (or a RunSpec)")
+    else:
+        cluster = ClusterSpec(
+            delay=delay,
+            detection_delay=detection_delay,
+            initially_crashed=tuple(initially_crashed),
+        )
     pids = sorted(proposals)
     if len(pids) < 2:
         raise ConfigurationError("consensus needs at least two processes")
-    cluster = ClusterSpec(
-        delay=delay,
-        service_time=service_time,
-        detection_delay=detection_delay,
-        initially_crashed=tuple(initially_crashed),
-    )
     propose_at = dict(propose_at or ())
     check_pids("propose_at", propose_at, pids)
 
