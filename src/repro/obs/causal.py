@@ -27,6 +27,7 @@ graphs and paths never changes what a run emits.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -184,8 +185,10 @@ class CausalGraph:
     def from_records(cls, records: Iterable[TraceRecord]) -> "CausalGraph":
         """Build from records; any iterable but a :class:`TraceLog` is
         appended to one first.  A log whose message records are all rows
-        gives a graph read from its columns (:class:`_LogGraph`); any other
-        is built record by record, in emission order."""
+        gives a graph read from its columns (:class:`_LogGraph`), which
+        shares the row arrays and arrival index of the graph in the log's
+        current fold if it has one; any other log is built record by
+        record, in emission order."""
         log = records if isinstance(records, TraceLog) else TraceLog(records)
         graph = _LogGraph.of(log)
         if graph is None:
@@ -303,6 +306,9 @@ class _LogGraph(CausalGraph):
         """The graph of ``log``, or None when it does not fit this form."""
         if log.loose:
             return None
+        fold = log.fold
+        if fold is not None and fold.length == len(log) and type(fold.flows) is _LogFlows:
+            return fold.flows._graph._share()
         top = max(log.ids, default=-1)
         if top >= 2 * len(log.ids) + cls.SLACK:
             return None
@@ -334,6 +340,14 @@ class _LogGraph(CausalGraph):
                 self._orphan_rows.append(index)
         self._arrival_rows: dict[int, array] | None = None
         self._arrival_times = {}
+
+    def _share(self) -> "_LogGraph":
+        """A graph of the same log that shares this one's arrays and
+        arrival index, with copies of its fault-record lists."""
+        graph = copy.copy(self)
+        graph.triggers = list(self.triggers)
+        graph.nemesis_ops = list(self.nemesis_ops)
+        return graph
 
     def add(self, time: float, pid: int, kind: str, data: Any) -> None:
         if kind in (KINDS.MSG_SEND, KINDS.MSG_DELIVER):
@@ -382,11 +396,14 @@ class _LogGraph(CausalGraph):
                 if index >= 0:
                     by_pid.setdefault(pids[index], []).append(index)
             times = self._times
-            self._arrival_rows = {}
+            arrival_rows, arrival_times = {}, {}
             for dst, rows in by_pid.items():
                 rows.sort(key=times.__getitem__)
-                self._arrival_rows[dst] = array("q", rows)
-                self._arrival_times[dst] = array("d", map(times.__getitem__, rows))
+                arrival_rows[dst] = array("q", rows)
+                arrival_times[dst] = array("d", map(times.__getitem__, rows))
+            # New dicts, never filled in place: a shared graph may hold the
+            # old ones.
+            self._arrival_rows, self._arrival_times = arrival_rows, arrival_times
         arrival_times = self._arrival_times.get(pid)
         if not arrival_times:
             return None

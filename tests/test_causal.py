@@ -36,7 +36,7 @@ from repro.obs import (
     export_chrome,
     export_jsonl,
 )
-from repro.sim.trace import Tracer, describe_value
+from repro.sim.trace import KINDS, Tracer, describe_value
 
 
 def observed_abcast(seed=1, nemesis=None, batch=True):
@@ -592,7 +592,57 @@ def msg_pair(
     ]
 
 
-#: Records the msg-send / msg-deliver / flow templates must not take: each
+class Kind(str):
+    """A trace kind that is a ``str`` subclass."""
+
+
+def decision(
+    pid=1, start=(), end=(), delivered=(0, 1), propose_at=0.0005, decided_at=0.003,
+    send_pid=0, value=None,
+):
+    """One decided instance at ``pid`` as hand-built records: a propose, a
+    round-start, the message that gates the decision, the round-end and
+    an a-deliver.  ``start`` / ``end`` replace fields of the round-start's
+    / round-end's data, ``value`` (when given) is the decided value object
+    and ``delivered`` is the a-delivered message id."""
+    from repro.sim.trace import TraceRecord
+
+    end_data = {
+        "outcome": "decided", "steps": 1, "via": "round",
+        "value": [[0, 1]] if value is None else value, "instance": 1,
+        **dict(end),
+    }  # fmt: skip
+    send, deliver = msg_pair(send_pid=send_pid, deliver_pid=pid, id=7 + pid)
+    return [
+        TraceRecord(propose_at, pid, "propose", {"value": [[0, 1]], "instance": 1}),
+        TraceRecord(
+            propose_at, pid, "round-start", {"round": 1, "instance": 1, **dict(start)}
+        ),
+        send,
+        deliver,
+        TraceRecord(decided_at, pid, "round-end", end_data),
+        TraceRecord(decided_at, pid, "a-deliver", delivered),
+    ]
+
+
+def a_fallback_decision():
+    """A two-step decision at p1 whose critical path names a cause: p1
+    suspects p0 before its second round."""
+    from repro.sim.trace import TraceRecord
+
+    records = decision(end={"steps": 2})
+    records[2:2] = [
+        TraceRecord(0.0007, 1, "suspect", {"suspect": 0}),
+        TraceRecord(0.0008, 1, "round-start", {"round": 2, "instance": 1}),
+    ]
+    return records
+
+
+#: Decided values that several spans hold as one object.
+SHARED_IDS = [[0, 1], [2, 3]]
+SHARED_SET = frozenset({"b", "a"})
+
+#: Records the event templates must not take: each
 #: has to come out exactly as the C encoder writes it.
 TEMPLATE_FALLBACKS = {
     "bool-id": msg_pair(id=True),
@@ -613,6 +663,7 @@ TEMPLATE_FALLBACKS = {
     "channel-not-a-string": msg_pair(channel=3),
     "kind-not-a-string": msg_pair(kind=None),
     "escaped-strings": msg_pair(kind='Vo"te\\ \u00e9\u2713', channel='c"h\\\u00f1\n'),
+    "percent-strings": msg_pair(kind="Vote%d", channel="%s%%"),
     "negative-id": msg_pair(id=-3),
     "int-time": msg_pair(send_time=1, deliver_time=2),
     "inf-send-time": msg_pair(send_time=float("inf"), deliver_time=float("inf")),
@@ -625,7 +676,170 @@ TEMPLATE_FALLBACKS = {
     "bool-pid": msg_pair(
         send_pid=False, deliver_pid=True, send={"dst": 1}, deliver={"src": 0}
     ),
+    # Kept records, spans, critical paths and hops.
+    "bool-pid-on-kept": [
+        r._replace(pid=True) if r.pid == 3 else r for r in decision(pid=3, send_pid=2)
+    ],
+    "inf-kept-time": decision(decided_at=float("inf")),
+    "overflowing-micros": decision(decided_at=1e303),
+    "str-subclass-kind": [r._replace(kind=Kind(r.kind)) for r in decision()],
+    "bool-in-a-deliver-id": decision(delivered=(True, 1)),
+    "float-in-a-deliver-id": decision(delivered=(0, 1.0)),
+    "three-element-a-deliver-id": decision(delivered=(0, 1, 2)),
+    "round-start-with-phase": decision(start={"phase": "collect"}),
+    "bool-round": decision(start={"round": True}),
+    "round-start-extra-key": decision(start={"extra": 1}),
+    "set-decided-value": decision(end={"value": {"b", "a"}}),
+    "value-with-a-non-id-item": decision(end={"value": [[0, 1], [2, "x"]]}),
+    "value-json-cannot-encode": decision(end={"value": [range(2)]}),
+    "value-shared-by-spans": (
+        decision(pid=1, value=SHARED_IDS) + decision(pid=2, value=SHARED_IDS)
+        + decision(pid=3, value=SHARED_SET) + decision(pid=0, send_pid=3, value=SHARED_SET)
+    ),
+    "path-with-a-cause": a_fallback_decision(),
+    "bool-steps": decision(end={"steps": True}),
+    # Finite timestamps 2e308 µs apart.
+    "infinite-path-duration": decision(propose_at=-1e302, decided_at=1e302),
+    "bool-hop-src": decision(send_pid=False),
 }
+
+
+#: A name that each templated event family writes.
+TEMPLATED_FAMILIES = (
+    '"name":"propose"', '"name":"round-start"', '"name":"round-end"',
+    '"name":"a-deliver"', '"name":"consensus[', '"name":"critical-path[',
+    '"name":"cp:',
+)  # fmt: skip
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(), st.text(max_size=3)
+)
+_HASHABLE = st.recursive(
+    _SCALARS, lambda items: st.tuples(items, items) | st.frozensets(items, max_size=3),
+    max_leaves=6,
+)
+#: Nested data that ``json`` encodes; dict keys never name a message field.
+_JSON_DATA = st.recursive(
+    _SCALARS,
+    lambda items: st.one_of(
+        st.lists(items, max_size=3),
+        st.tuples(items, items),
+        st.dictionaries(st.text("ab", max_size=2), items, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: Nested data with sets too.
+_DATA = st.recursive(
+    _SCALARS,
+    lambda items: st.one_of(
+        st.lists(items, max_size=3),
+        st.tuples(items, items),
+        st.dictionaries(st.text("ab", max_size=2), items, max_size=3),
+        st.frozensets(_SCALARS, max_size=3),
+        st.sets(st.integers(0, 5) | st.text(max_size=2), max_size=3),
+    ),
+    max_leaves=8,
+)
+_IDS = st.tuples(st.integers(0, 3), st.integers(0, 9))
+_VALUES = st.one_of(
+    st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), max_size=3),
+    st.lists(_IDS, max_size=3),
+    _DATA,
+)
+_INSTANCES = st.one_of(st.sampled_from([1, 2, None, True]), _IDS)
+_TIMES = st.one_of(
+    st.sampled_from([0.0005, 0.001, 0.002, 0.003, 0.004]),
+    st.sampled_from([float("inf"), float("nan"), 1e303, -1e302, 1e302, 1, Micros(2)]),
+)
+_KEPT_DATA = {
+    # Exported as they are (no describe_value): data a message record
+    # holds when it is not a row.
+    KINDS.MSG_SEND: _JSON_DATA,
+    KINDS.MSG_DELIVER: _JSON_DATA,
+    KINDS.A_BROADCAST: st.one_of(_IDS, _HASHABLE),
+    KINDS.A_DELIVER: st.one_of(_IDS, _HASHABLE),
+    KINDS.PROPOSE: st.one_of(
+        st.fixed_dictionaries({"value": _VALUES, "instance": _INSTANCES}),
+        st.dictionaries(st.text("ab", max_size=2), _DATA, max_size=3),
+    ),
+    KINDS.ROUND_START: st.fixed_dictionaries(
+        {"round": st.integers(0, 3) | st.booleans(), "instance": _INSTANCES},
+        optional={"phase": st.none() | st.text(max_size=3), "extra": _DATA},
+    ),
+    KINDS.ROUND_END: st.fixed_dictionaries(
+        {
+            "outcome": st.sampled_from(["decided", "forward"]) | st.text(max_size=3),
+            "steps": st.integers(0, 3) | st.booleans() | st.none(),
+            "via": st.sampled_from(["round", "forward"]) | st.none(),
+            "value": _VALUES,
+            "instance": _INSTANCES,
+        },
+        optional={"extra": _DATA},
+    ),
+    KINDS.TXN_BEGIN: st.fixed_dictionaries(
+        {"txid": st.integers(0, 3), "shards": st.lists(st.integers(0, 3), max_size=3)}
+    ),
+    KINDS.TXN_VOTE: st.fixed_dictionaries(
+        {"txid": st.integers(0, 3), "shard": st.integers(0, 3), "vote": st.text(max_size=3)}
+    ),
+    KINDS.TXN_DECIDE: st.fixed_dictionaries(
+        {"txid": st.integers(0, 3), "decision": st.text(max_size=3)}
+    ),
+    KINDS.TXN_END: st.fixed_dictionaries(
+        {"txid": st.integers(0, 3), "decision": st.text(max_size=3)}
+    ),
+}
+
+
+@st.composite
+def kept_records(draw):
+    """A record of any kind with data of any shape its readers accept."""
+    from repro.sim.trace import TraceRecord
+
+    kind = draw(st.sampled_from(sorted(KINDS.ALL)) | st.sampled_from(sorted(_KEPT_DATA)))
+    data = draw(_KEPT_DATA.get(kind, _DATA))
+    return TraceRecord(draw(_TIMES), draw(st.sampled_from([-1, 0, 1, 2])), kind, data)
+
+
+def _alone(record):
+    return [record]
+
+
+@st.composite
+def decisions(draw):
+    """:func:`decision` records with random fields."""
+    return decision(
+        pid=draw(st.integers(0, 2)),
+        start=draw(st.fixed_dictionaries({}, optional={
+            "round": st.integers(1, 3) | st.booleans(), "phase": st.text(max_size=2),
+        })),
+        end=draw(st.fixed_dictionaries({}, optional={
+            "steps": st.integers(1, 3) | st.booleans() | st.none(),
+            "via": st.sampled_from(["round", "forward"]) | st.none(),
+            "instance": _INSTANCES,
+            "value": _VALUES,
+        })),
+        delivered=draw(st.one_of(_IDS, _HASHABLE)),
+        propose_at=draw(st.sampled_from([0.0005, 0.001]) | _TIMES),
+        decided_at=draw(st.sampled_from([0.003, 0.004]) | _TIMES),
+        send_pid=draw(st.integers(0, 2)),
+    )  # fmt: skip
+
+
+@st.composite
+def message_rows(draw):
+    """A msg-send or msg-deliver as the network writes it."""
+    from repro.sim.trace import TraceRecord
+
+    send = draw(st.booleans())
+    data = {
+        "dst" if send else "src": draw(st.integers(0, 2)),
+        "kind": draw(st.sampled_from(["Vote", "Ack"])),
+        "channel": "cons",
+        "id": draw(st.integers(0, 12)),
+    }
+    time = draw(st.sampled_from([0.0005, 0.001, 0.002, 0.003, 0.004]))
+    return TraceRecord(time, draw(st.integers(0, 2)), "msg-send" if send else "msg-deliver", data)
 
 
 class TestChromeTemplateFallbacks:
@@ -644,6 +858,28 @@ class TestChromeTemplateFallbacks:
         text = streamed_chrome(records)
         assert text == reference_chrome(records)
         assert '"ph":"s"' in text and '"ph":"f"' in text
+
+    def test_templated_kept_records_spans_and_paths_match_the_reference_encoder(self):
+        records = decision(pid=1) + decision(pid=2, send_pid=1)
+        text = streamed_chrome(records)
+        assert text == reference_chrome(records)
+        for family in TEMPLATED_FAMILIES:
+            assert family in text, family
+
+    @seed(44)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                kept_records().map(_alone), message_rows().map(_alone), decisions(),
+                st.builds(a_fallback_decision),
+            ),
+            max_size=12,
+        ).map(lambda chunks: [record for chunk in chunks for record in chunk])
+    )
+    def test_random_kept_records_among_message_rows(self, records):
+        assert streamed_chrome(records) == reference_chrome(records)
+
 
 
 def record_by_record(log):
@@ -783,6 +1019,65 @@ class TestKeptFold:
             tracer.emit(*record)
         assert streamed_chrome(tracer.records) == reference_chrome(replacement)
         assert len(ingests) == 2
+
+
+class TestGraphFromTheKeptFold:
+    """A log whose fold is current gives graphs that share the fold graph's
+    row arrays and arrival index, answer every query as the graph built
+    record by record does, and share nothing that can be added to."""
+
+    @staticmethod
+    def folded(records=None):
+        """A log folded once, and the graph its fold keeps."""
+        from repro.obs import causal
+
+        if records is None:
+            _, obs = observed_abcast(seed=2, nemesis=PARTITION)
+            log = obs.tracer.records
+        else:
+            from repro.sim.trace import TraceLog
+
+            log = TraceLog(records)
+        return log, causal._fold(log).flows._graph
+
+    def test_a_folded_log_reuses_the_fold_graph(self):
+        log, kept = self.folded()
+        graph = CausalGraph.from_records(log)
+        assert graph is not kept
+        assert graph._send_row is kept._send_row
+        assert graph._arrival_rows is kept._arrival_rows is not None
+        assert_same_graph(graph, record_by_record(log))
+        assert graph.nemesis_ops and graph.triggers
+
+    def test_graphs_of_one_log_share_no_mutable_state(self):
+        log, kept = self.folded()
+        first, second = CausalGraph.from_records(log), CausalGraph.from_records(log)
+        triggers, ops = list(kept.triggers), list(kept.nemesis_ops)
+        first.add(0.5, 1, "suspect", {"suspect": 0})
+        first.add(0.6, -1, "nemesis-start", {"index": 9, "op": "drop", "at": 0.6})
+        assert len(first.triggers) == len(triggers) + 2
+        assert len(first.nemesis_ops) == len(ops) + 1
+        for other in (second, kept):
+            assert other.triggers == triggers and other.nemesis_ops == ops
+
+    def test_an_arrival_index_built_after_the_copy_stays_its_own(self):
+        # No decided span: the fold never asked for an arrival.
+        log, kept = self.folded(msg_pair())
+        graph = CausalGraph.from_records(log)
+        assert kept._arrival_rows is None
+        assert graph.last_arrival_before(1, 1.0) == (
+            record_by_record(log).last_arrival_before(1, 1.0)
+        )
+        assert kept._arrival_rows is None and kept._arrival_times == {}
+        assert_same_graph(kept, record_by_record(log))
+
+    def test_a_log_appended_after_its_fold_gets_a_fresh_graph(self):
+        log, kept = self.folded()
+        log.append((0.5, 1, "suspect", {"suspect": 0}))
+        graph = CausalGraph.from_records(log)
+        assert graph._send_row is not kept._send_row
+        assert_same_graph(graph, record_by_record(log))
+        assert len(graph.triggers) == len(kept.triggers) + 1
 
 
 class TestFlightRecorderOnReplay:

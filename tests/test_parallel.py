@@ -509,6 +509,25 @@ class TestParentPins:
             trace_sha, None, error
         )
 
+    # An observed run: its message rows come back through the parent's row
+    # writers, so the merged log keeps them as columns.
+    OBSERVED_TRACE = "d517c2ddd4e3bcc926104ee7e2461651f186829acc96e22ba0ae5ff2d2e89922"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_observed_run_matches_parent(self, workers):
+        from repro.obs import ObsRuntime
+
+        spec = RsmRunSpec(
+            protocol="multipaxos", rate=120.0, duration=0.5, clients=4, seed=0,
+            topology=TopologySpec(groups=4, group_size=3), parallel=True,
+            workers=workers, obs=True,
+        )  # fmt: skip
+        runtime = ObsRuntime.from_spec(spec)
+        run_rsm(spec, ctx=RunContext(obs=runtime))
+        log = runtime.tracer.records
+        assert hashlib.sha256(trace_bytes(runtime.tracer)).hexdigest() == self.OBSERVED_TRACE
+        assert (len(log), len(log.kept), log.loose) == (1931, 443, 0)
+
 
 def _run_shard_dying_in_shard_two(shard, payload):
     if shard == 2:
