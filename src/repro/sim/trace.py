@@ -28,6 +28,7 @@ __all__ = [
     "KINDS",
     "ROW_KINDS",
     "CountingTracer",
+    "LogColumns",
     "RowCode",
     "RowWriter",
     "TraceLog",
@@ -223,6 +224,21 @@ class RowCode(NamedTuple):
         return {key: values[key] for key in self.keys}
 
 
+class LogColumns(NamedTuple):
+    """A :class:`TraceLog`'s records as the log holds them
+    (:meth:`TraceLog.columns`): it pickles as the columns and the kept
+    records, not as a record per row, and :meth:`Tracer.merge` reads it
+    back."""
+
+    order: array
+    codes: list[RowCode | None]
+    kept: list[TraceRecord]
+    times: array
+    pids: array
+    peers: array
+    ids: array
+
+
 class TraceLog:
     """A tracer's records, in emission order.
 
@@ -376,6 +392,12 @@ class TraceLog:
                 yield _new(TraceRecord, (time, pid, row.kind, row.data(peer, msg_id)))
             else:
                 yield next(kept)
+
+    def columns(self) -> LogColumns:
+        """The log's columns and kept records, shared, not copied."""
+        return LogColumns(
+            self.order, self.codes, self.kept, self.times, self.pids, self.peers, self.ids
+        )  # fmt: skip
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self._records(0, len(self.order))
@@ -599,6 +621,37 @@ class Tracer:
 
     def emit_leader_change(self, time: float, pid: int, leader: int | None) -> None:
         self.emit(time, pid, KINDS.LEADER_CHANGE, {"leader": leader})
+
+    def merge(self, logs: Iterable[LogColumns]) -> None:
+        """Append the records of several logs, interleaved by (time, the
+        log's position in ``logs``, the record's index in its log): message
+        rows through :attr:`sends` and :attr:`delivers`, every other record
+        through :meth:`emit`."""
+        tagged: list[tuple] = []
+        for position, log in enumerate(logs):
+            kept = iter(log.kept)
+            rows = zip(log.times, log.pids, log.peers, log.ids)
+            codes = log.codes
+            for index, code in enumerate(log.order):
+                if code:
+                    time, pid, peer, msg_id = next(rows)
+                    tagged.append((time, position, index, pid, peer, msg_id, codes[code]))
+                else:
+                    record = next(kept)
+                    tagged.append((record[0], position, index, record))
+        # (time, position, index) is unique, so no comparison reaches a record.
+        tagged.sort()
+        emit = self.emit
+        writers = {KINDS.MSG_SEND: self.sends.emit, KINDS.MSG_DELIVER: self.delivers.emit}
+        for item in tagged:
+            if len(item) == 4:
+                emit(*item[3])
+                continue
+            time, _, _, pid, peer, msg_id, row = item
+            if row.keys is None:
+                writers[row.kind](time, pid, peer, row.msg_kind, row.channel, msg_id)
+            else:  # data keys in another order than the network's: as appended
+                emit(time, pid, row.kind, row.data(peer, msg_id))
 
     # ----------------------------------------------------------------- queries
 

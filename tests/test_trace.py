@@ -7,7 +7,7 @@ import pickle
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.sim.trace import KINDS, CountingTracer, TraceLog, TraceRecord, Tracer
+from repro.sim.trace import KINDS, CountingTracer, LogColumns, TraceLog, TraceRecord, Tracer
 
 
 class TestTracer:
@@ -266,6 +266,30 @@ class TestTraceLogReadsBackAsAList:
             for r in of_kind:
                 by_pid.setdefault(r.pid, []).append(r)
             assert list(tracer.by_pid(kind).items()) == list(by_pid.items())
+
+    @seed(45)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(interleavings, max_size=3))
+    def test_merge_interleaves_logs_by_time_position_and_index(self, shards):
+        logs = [recorded(entries).records for entries in shards]
+        tagged = [
+            (record.time, position, index, record)
+            for position, log in enumerate(logs)
+            for index, record in enumerate(log)
+        ]
+        reference = [record for *_, record in sorted(tagged, key=lambda item: item[:3])]
+        tracer = Tracer()
+        tracer.merge(log.columns() for log in logs)
+        # Equal keys in the emitted order: a row whose keys are not in the
+        # network's order keeps its own.
+        assert repr(tracer.records) == repr(reference)
+        assert len(tracer.records.kept) == sum(len(log.kept) for log in logs)
+        assert tracer.records.loose == sum(log.loose for log in logs)
+        watched, seen = Tracer(), []
+        watched.subscribe(seen.append)
+        watched.merge(pickle.loads(pickle.dumps(log.columns())) for log in logs)
+        assert seen == reference and repr(watched.records) == repr(reference)
+        assert all(type(log.columns()) is LogColumns for log in logs)
 
     def test_message_rows_are_columns_and_the_rest_kept(self):
         tracer = Tracer()
